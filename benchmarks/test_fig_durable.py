@@ -28,6 +28,7 @@ from common import noop_task
 from repro.bench.reporting import ReportTable
 from repro.durable import FileJournalBackend, Journal, recover_cloud
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud
+from repro.faas.cloud import TaskSubmission
 from repro.net.clock import get_clock, reset_clock
 from repro.net.context import at_site
 from repro.net.defaults import build_paper_testbed
@@ -78,12 +79,18 @@ def _run_ledger(cloud, token, endpoint_id, func_id, n_tasks: int, churn: int) ->
     (lease history) without growing the live state: exactly the redundancy
     snapshot compaction exists to erase."""
     for i in range(n_tasks):
-        cloud.submit(token, "bench-client", func_id, endpoint_id, serialize(((i,), {})))
+        [task_id] = cloud.submit_batch(
+            token,
+            "bench-client",
+            [TaskSubmission(func_id, endpoint_id, serialize(((i,), {})))],
+        )
+        assert isinstance(task_id, str), task_id
     dispatched = cloud.fetch_tasks(token, endpoint_id, n_tasks // 2, timeout=1.0)
     for dispatch in dispatched[: n_tasks // 4]:
-        cloud.report_result(
-            token, endpoint_id, dispatch.task_id, True, serialize({"ok": True})
+        outcomes = cloud.report_results(
+            token, endpoint_id, [(dispatch.task_id, True, serialize({"ok": True}))]
         )
+        assert outcomes == [None], outcomes
     for _ in range(churn):
         cloud.fetch_tasks(token, endpoint_id, n_tasks, timeout=1.0)
         cloud.requeue_dispatched(token, endpoint_id)

@@ -40,6 +40,7 @@ from repro.bench.reporting import ReportTable, percentile
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.exceptions import ThrottledError
 from repro.faas import SCOPE_COMPUTE, AuthServer
+from repro.faas.cloud import TaskSubmission
 from repro.net.clock import get_clock, reset_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
@@ -63,6 +64,14 @@ SOLO_SUBMITS = 20 if QUICK else 40
 
 def _constants() -> PaperConstants:
     return replace(PaperConstants(), faas_shard_service_time=ADMISSION)
+
+
+def _submit_one(router, token, client_id, item, tenant="default") -> str:
+    """Admit one task as a batch of one, raising its rejection."""
+    [outcome] = router.submit_batch(token, client_id, [item], tenant=tenant)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _storm_throughput(n_shards: int) -> float:
@@ -92,12 +101,11 @@ def _storm_throughput(n_shards: int) -> float:
         try:
             with at_site(testbed.faas_cloud):
                 for i in range(STORM_PER_THREAD):
-                    router.submit(
+                    _submit_one(
+                        router,
                         token,
                         f"client-{tid}",
-                        funcs[(tid + i) % len(funcs)],
-                        endpoint_id,
-                        payload,
+                        TaskSubmission(funcs[(tid + i) % len(funcs)], endpoint_id, payload),
                     )
         except Exception as exc:  # surfaced below; threads must not die silently
             errors.append(exc)
@@ -154,12 +162,11 @@ def _noisy_neighbor() -> dict:
         with at_site(testbed.faas_cloud):
             for i in range(n):
                 t0 = clock.now()
-                router.submit(
+                _submit_one(
+                    router,
                     quiet_token,
                     "quiet-client",
-                    quiet_funcs[i % len(quiet_funcs)],
-                    endpoint_id,
-                    payload,
+                    TaskSubmission(quiet_funcs[i % len(quiet_funcs)], endpoint_id, payload),
                     tenant="quiet",
                 )
                 out.append(clock.now() - t0)
@@ -173,12 +180,11 @@ def _noisy_neighbor() -> dict:
         with at_site(testbed.faas_cloud):
             while not stop.is_set():
                 try:
-                    router.submit(
+                    _submit_one(
+                        router,
                         hot_token,
                         "hot-client",
-                        hot_func,
-                        endpoint_id,
-                        payload,
+                        TaskSubmission(hot_func, endpoint_id, payload),
                         tenant="hot",
                     )
                 except ThrottledError as exc:

@@ -45,7 +45,7 @@ __all__ = [
 #: rejected at plan construction, so typos fail fast instead of never firing.
 HOOKS = frozenset(
     {
-        "cloud.submit",  # FaasCloud.submit: payload-cap rejection
+        "cloud.submit",  # FaasCloud.submit_batch: per-item payload-cap rejection
         "cloud.store.read",  # cloud payload store: read error / corruption
         "cloud.shard.drop",  # CloudRouter: owning shard restarts at admission
         "cloud.shard.crash",  # CloudRouter: shard state destroyed, journal replay

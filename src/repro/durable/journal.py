@@ -15,7 +15,11 @@ Record format
 One JSON object per line, ``sort_keys=True`` so byte content is
 deterministic::
 
-    {"type": "submit", "task_id": "task-s0-00000001", ...}
+    {"type": "submit", "client_id": "c-1", "tenant": "default",
+     "tasks": [{"task_id": "task-s0-00000001", ...}, ...]}
+
+One record per state transition per API call: a ``submit`` or ``result``
+record lists every task the call carried (a lone task is a list of one).
 
 Payload bytes ride inside records base64-encoded, alongside their nominal
 size (``repro.serialize.Blob`` padding makes nominal != len(data)).

@@ -12,7 +12,7 @@ The recovery contract (funcX's "the cloud outlives the process" property):
   report that lost the in-memory re-check just before the crash, or a
   double-replayed segment) are dropped and counted in ``durable.deduped``.
   Re-executed re-leased tasks are deduped *post*-recovery by the existing
-  ``report_result`` terminal re-check.
+  ``report_results`` terminal re-check.
 * **Notifications are re-established at the acked frontier** — the bus is
   shared fabric that survives the shard crash, so unacked envelopes keep
   redelivering on their own; replay additionally re-pushes every journaled
@@ -71,16 +71,17 @@ def _snapshot_records(state: dict):
         yield {"type": "deadletter", "op": "add", "entry": doc}
 
 
-def _expand_batches(stream):
-    """Fan a batched WAL record out into its per-task records.
+def _per_task(stream):
+    """Flatten each ``submit``/``result`` record into one entry per task.
 
-    ``submit_batch``/``result_batch`` amortize the fsync but each task doc
-    inside them is a complete admission/outcome record — expanding here
-    means a mid-batch crash replays every member through the exact same
-    dedupe logic as its singular form, exactly once."""
+    One record amortizes the fsync over every task in one API call, but
+    each task doc inside it is a complete admission/outcome — replaying
+    the docs one by one means a mid-batch crash runs every member through
+    the same dedupe logic, exactly once, and ``durable.replayed`` counts
+    tasks, not appends."""
     for record in stream:
         rtype = record["type"]
-        if rtype == "submit_batch":
+        if rtype == "submit":
             for doc in record["tasks"]:
                 yield {
                     "type": "submit",
@@ -88,13 +89,9 @@ def _expand_batches(stream):
                     "tenant": record["tenant"],
                     **doc,
                 }
-        elif rtype == "result_batch":
+        elif rtype == "result":
             for doc in record["results"]:
-                yield {
-                    "type": "result",
-                    "endpoint_id": record["endpoint_id"],
-                    **doc,
-                }
+                yield {"type": "result", "endpoint_id": record["endpoint_id"], **doc}
         else:
             yield record
 
@@ -123,7 +120,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     snapshot, log = journal.records()  # charges the full log read: the axis
     stream = list(_snapshot_records(snapshot)) if snapshot else []
     stream.extend(log)
-    stream = list(_expand_batches(stream))
+    stream = list(_per_task(stream))
 
     next_id = int(snapshot.get("next_id", 0)) if snapshot else 0
     releases: list[TaskRecord] = []

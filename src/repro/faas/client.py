@@ -70,6 +70,7 @@ from repro.observe import TraceContext, counter_inc, trace_span
 from repro.resilience.hedge import HedgePolicy, LatencyReservoir
 from repro.serialize import (
     Payload,
+    borrow,
     deserialize,
     deserialize_cost,
     serialize,
@@ -176,9 +177,10 @@ class FaasClient:
         # Adaptive batching (DESIGN.md §12): with a policy, ``submit`` parks
         # submissions in a per-(tenant, endpoint) accumulator and a flush —
         # inline on a size/bytes trigger, or an adaptive hold timer on the
-        # shared reactor — pays one API round trip for the whole batch.
-        # Without one, every path below is byte-identical to the unbatched
-        # client.
+        # shared reactor — pays one API round trip for the whole batch, and
+        # small payloads ride that call inline.  Without one, each task is
+        # sent at once as a batch of one and keeps the paper's per-task
+        # store hop.
         self._batcher = (
             BatchAccumulator(batch, clock=self._clock) if batch is not None else None
         )
@@ -229,55 +231,6 @@ class FaasClient:
         cost = self.cloud.network.rtt(site, self.cloud.site)
         cost += self.cloud.network._sample(self.cloud.constants.faas_api_latency)
         self._clock.sleep(cost)
-
-    def _cloud_submit(
-        self,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        trace_ctx: TraceContext | None,
-        chaos_key: str | None,
-        prefetch: tuple,
-        deadline_at: float | None = None,
-    ) -> str:
-        """One cloud submit with transparent throttle backoff.
-
-        A throttle retry re-sends the *same* chaos key (it is the same
-        logical submission — the attempt counter is reserved for failure
-        retries), waiting at least the server's ``retry_after`` hint."""
-        throttle_attempt = 0
-        throttle_started = self._clock.now()
-        while True:
-            self._pay_api_call()
-            try:
-                return self.cloud.submit(
-                    self.token,
-                    self.client_id,
-                    func_id,
-                    endpoint_id,
-                    args_payload,
-                    tenant=self.tenant,
-                    trace_ctx=trace_ctx,
-                    chaos_key=chaos_key,
-                    prefetch=prefetch,
-                    deadline_at=deadline_at,
-                )
-            except ThrottledError as exc:
-                policy = self._throttle_policy
-                elapsed = self._clock.now() - throttle_started
-                if not policy.retries_left(throttle_attempt, elapsed=elapsed):
-                    raise
-                counter_inc(
-                    "client.throttled", tenant=self.tenant, endpoint=endpoint_id
-                )
-                self._clock.sleep(
-                    max(
-                        exc.retry_after,
-                        policy.delay_for(throttle_attempt, key=chaos_key or func_id),
-                    )
-                )
-                throttle_attempt += 1
 
     # -- API ------------------------------------------------------------------
     def register_function(self, fn: Callable, *, name: str | None = None) -> str:
@@ -339,6 +292,16 @@ class FaasClient:
             args_payload = serialize((args, kwargs))
             self._clock.sleep(serialize_cost(args_payload.nominal_size))
             chaos_base = hashlib.sha256(args_payload.data).hexdigest()[:16]
+            if (
+                self._batcher is not None
+                and args_payload.nominal_size
+                < self.cloud.constants.faas_small_object_threshold
+            ):
+                # Zero-copy: a batching client's sub-20 kB payloads ride the
+                # submit message on every attempt and hedge leg, skipping
+                # the redis hop's second (de)serialization.  An unbatched
+                # client keeps the paper's per-task store hop.
+                args_payload = borrow(args_payload)
             started_at = self._clock.now()
             deadline_at = None if _deadline is None else started_at + _deadline
             if self._batcher is not None:
@@ -356,14 +319,16 @@ class FaasClient:
             attempt = 0
             while True:
                 try:
-                    task_id = self._cloud_submit(
-                        func_id,
-                        endpoint_id,
-                        args_payload,
-                        trace_ctx=ctx,
-                        chaos_key=f"{chaos_base}#a{attempt}",
-                        prefetch=tuple(_prefetch_hints),
-                        deadline_at=deadline_at,
+                    task_id = self._submit_one(
+                        TaskSubmission(
+                            func_id,
+                            endpoint_id,
+                            args_payload,
+                            trace_ctx=ctx,
+                            chaos_key=f"{chaos_base}#a{attempt}",
+                            prefetch=tuple(_prefetch_hints),
+                            deadline_at=deadline_at,
+                        )
                     )
                     break
                 except PayloadTooLargeError:
@@ -376,7 +341,6 @@ class FaasClient:
                     counter_inc("client.submit_retries", endpoint=endpoint_id)
                     self._clock.sleep(policy.delay_for(attempt, key=chaos_base))
                     attempt += 1
-        counter_inc("faas.api_calls", op="submit")
         future: Future = Future()
         future.task_id = task_id  # type: ignore[attr-defined]
         pending = _PendingTask(
@@ -527,15 +491,25 @@ class FaasClient:
             counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
             self._finish_attempt(pending, repr(exc), None)
 
+    def _submit_one(self, submission: TaskSubmission) -> str:
+        """Submit a single task as a batch of one; returns its task id or
+        raises its rejection."""
+        [outcome] = self._cloud_submit_batch([submission])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
     def _cloud_submit_batch(self, submissions: list[TaskSubmission]) -> list:
-        """One batched cloud submit with transparent throttle backoff.
+        """One cloud submit call with transparent throttle backoff — the
+        only way a task reaches the cloud.
 
         Throttled members are re-sent together under the *same* chaos keys
-        (a throttle retry is the same logical submission) until the
-        throttle policy's budget runs out; other outcomes — task ids and
-        terminal rejections — pass through positionally.
+        (a throttle retry is the same logical submission — the attempt
+        counter is reserved for failure retries), waiting at least the
+        server's ``retry_after`` hint, until the throttle policy's budget
+        runs out; other outcomes — task ids and terminal rejections — pass
+        through positionally.
         """
-        small = self.cloud.constants.faas_small_object_threshold
         site = self._home_site()
         outcomes: list = [None] * len(submissions)
         live = list(range(len(submissions)))
@@ -545,12 +519,10 @@ class FaasClient:
             batch = [submissions[i] for i in live]
             self._pay_api_call()
             counter_inc("faas.api_calls", op="submit")
-            # Zero-copy payloads ride the submit message itself, so their
+            # Borrowed payloads ride the submit message itself, so their
             # bytes are charged as request transfer, not as store ops.
             inline_bytes = sum(
-                s.args_payload.nominal_size
-                for s in batch
-                if s.args_payload.nominal_size < small
+                s.args_payload.nominal_size for s in batch if s.args_payload.borrowed
             )
             if inline_bytes:
                 self._clock.sleep(
@@ -813,21 +785,22 @@ class FaasClient:
         # A hedge leg rides the primary's already-serialized payload too.
         counter_inc("client.serialize_skipped", endpoint=target)
         try:
-            hedge_id = self._cloud_submit(
-                pending.func_id,
-                target,
-                pending.args_payload,
-                trace_ctx=pending.trace_ctx,
-                chaos_key=chaos_key,
-                prefetch=pending.prefetch,
-                deadline_at=pending.deadline_at,
+            hedge_id = self._submit_one(
+                TaskSubmission(
+                    pending.func_id,
+                    target,
+                    pending.args_payload,
+                    trace_ctx=pending.trace_ctx,
+                    chaos_key=chaos_key,
+                    prefetch=pending.prefetch,
+                    deadline_at=pending.deadline_at,
+                )
             )
         except ReproError:
             # The duplicate was refused (throttle budget, breaker, quota...):
             # the primary keeps racing alone; try again next scan.
             counter_inc("client.hedge_rejected", endpoint=target)
             return
-        counter_inc("faas.api_calls", op="submit")
         group.launched = n
         leg = _PendingTask(
             future=pending.future,
@@ -1116,16 +1089,17 @@ class FaasClient:
             endpoint=pending.endpoint_id,
             tenant=self.tenant,
         ):
-            task_id = self._cloud_submit(
-                pending.func_id,
-                pending.endpoint_id,
-                pending.args_payload,
-                trace_ctx=pending.trace_ctx,
-                chaos_key=f"{pending.chaos_base}#a{attempt}",
-                prefetch=pending.prefetch,
-                deadline_at=pending.deadline_at,
+            task_id = self._submit_one(
+                TaskSubmission(
+                    pending.func_id,
+                    pending.endpoint_id,
+                    pending.args_payload,
+                    trace_ctx=pending.trace_ctx,
+                    chaos_key=f"{pending.chaos_base}#a{attempt}",
+                    prefetch=pending.prefetch,
+                    deadline_at=pending.deadline_at,
+                )
             )
-        counter_inc("faas.api_calls", op="submit")
         pending.attempt = attempt
         # A fresh attempt races from scratch: no hedge group yet, and the
         # hedge delay measures from this submission.

@@ -58,7 +58,7 @@ from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
 from repro.observe import TraceContext, counter_inc, gauge_set
 from repro.resilience.health import BREAKER_OPEN
-from repro.serialize import Payload, borrow, serialize
+from repro.serialize import Payload, serialize
 from repro.tenancy.tenant import (
     DEFAULT_TENANT,
     tenant_scope,
@@ -152,12 +152,12 @@ class TaskDispatch:
 
 @dataclass(frozen=True)
 class TaskSubmission:
-    """One task inside a batched submit (client → cloud).
+    """One task inside a ``submit_batch`` call (client → cloud).
 
-    The batch-level call carries the shared tenant and pays the shared
-    costs (auth, admission, WAL append, doorbell); everything per-task —
-    deadline, chaos key, prefetch hints — rides here so batching never
-    erases per-task semantics."""
+    The call carries the shared tenant and pays the shared costs (auth,
+    admission, WAL append, doorbell); everything per-task — deadline,
+    chaos key, prefetch hints — rides here so batching never erases
+    per-task semantics.  A lone submit is a list of one."""
 
     func_id: str
     endpoint_id: str
@@ -286,7 +286,7 @@ class _CompletedFeed:
     *same* feed: a client long-polling ``next_completed`` then sees results
     from all shards through one wait, exactly as if the cloud were one
     service.  ``cond`` doubles as the terminal-transition lock shards use
-    for their exactly-once ``report_result`` dance."""
+    for their exactly-once ``report_results`` dance."""
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
@@ -896,91 +896,6 @@ class FaasCloud:
         return reaped
 
     # -- client side ------------------------------------------------------------
-    def submit(
-        self,
-        token: Token,
-        client_id: str,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        trace_ctx: TraceContext | None = None,
-        chaos_key: str | None = None,
-        prefetch: tuple = (),
-        deadline_at: float | None = None,
-    ) -> str:
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
-        self.expire_leases()
-        endpoint_id, fingerprint = self._admit_task(
-            client_id,
-            func_id,
-            endpoint_id,
-            args_payload,
-            tenant=tenant,
-            chaos_key=chaos_key,
-            deadline_at=deadline_at,
-        )
-        # The shard's control plane admits one submission at a time: this
-        # serialized charge is the finite capacity that makes aggregate
-        # admission throughput scale with the shard count.
-        if self._service_time > 0.0:
-            with self._admission_lock:
-                self.clock.sleep(self._service_time)
-        args_locator = self.store.write(args_payload)
-        task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
-        record = TaskRecord(
-            task_id=task_id,
-            func_id=func_id,
-            endpoint_id=endpoint_id,
-            client_id=client_id,
-            args_locator=args_locator,
-            submitted_at=self.clock.now(),
-            trace_ctx=trace_ctx,
-            chaos_key=chaos_key,
-            prefetch=tuple(prefetch),
-            tenant=tenant,
-            args_nbytes=args_payload.nominal_size,
-            deadline_at=deadline_at,
-            fingerprint=fingerprint,
-        )
-        # WAL fsync point: the admission record (task identity + argument
-        # bytes + locator) is durable before the task becomes visible in a
-        # queue.  A crash in between leaves a journaled-but-never-queued
-        # task, which replay admits into a WAITING queue exactly once.
-        if self.journal is not None:
-            self.journal.append(
-                "submit",
-                task_id=task_id,
-                func_id=func_id,
-                endpoint_id=endpoint_id,
-                client_id=client_id,
-                locator=args_locator,
-                args=encode_payload(args_payload),
-                tenant=tenant,
-                chaos_key=chaos_key,
-                submitted_at=record.submitted_at,
-                deadline_at=deadline_at,
-                fingerprint=fingerprint,
-            )
-        with self._queue_cond:
-            self._tasks[task_id] = record
-            self._tenant_queue_locked(endpoint_id, tenant).append(task_id)
-            self._publish_depth_locked(endpoint_id)
-            self._queue_cond.notify_all()
-        counter_inc("cloud.submits", tenant=tenant, shard=self._shard_label)
-        # Doorbell *after* the enqueue so a subscriber that fetches on the
-        # notification always finds the task in its queue.
-        self.bus.publish(
-            task_topic(endpoint_id), task_id, chaos_key=chaos_key or task_id
-        )
-        if self._on_enqueue is not None:
-            self._on_enqueue()
-        return record.task_id
-
     def _admit_task(
         self,
         client_id: str,
@@ -992,7 +907,7 @@ class FaasCloud:
         chaos_key: str | None,
         deadline_at: float | None,
     ) -> tuple[str, str]:
-        """Per-task admission checks shared by ``submit`` and
+        """Per-task admission checks run for every member of a
         ``submit_batch``: function/endpoint existence, deadline, poison
         quarantine, breaker steering, fault injection, and the payload cap.
         May re-steer the task; returns the (possibly new) endpoint id and
@@ -1079,16 +994,19 @@ class FaasCloud:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> list:
-        """Admit a coalesced batch of tasks in one API round trip.
+        """Admit a list of tasks in one API round trip — the only submit
+        path; a single task is a batch of one.
 
-        The batch pays the shared costs once — one auth/tenant check, one
+        The call pays the shared costs once — one auth/tenant check, one
         serialized admission charge, one WAL append, one queue wakeup, and
         one coalesced doorbell per destination endpoint — while every
-        per-task check from :meth:`submit` (function known, deadline,
-        quarantine, breaker steering, fault injection, payload cap) still
-        runs per item.  Returns a list aligned with ``items``: a task id
-        where admission succeeded, the raising :class:`ReproError` where it
-        did not, so the client can split rejects back into singles.
+        per-task check (function known, deadline, quarantine, breaker
+        steering, fault injection, payload cap) runs per item.  Whether a
+        small payload rides the message inline is the sender's decision,
+        carried as ``Payload.borrowed``.  Returns a list aligned with
+        ``items``: a task id where admission succeeded, the raising
+        :class:`ReproError` where it did not, so the client can split
+        rejects back into singles.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -1114,8 +1032,10 @@ class FaasCloud:
             admitted.append((i, item, endpoint_id, fingerprint))
         if not admitted:
             return results
-        # One serialized admission charge for the whole batch — this is the
-        # control-plane amortization that lifts sustained tasks/sec.
+        # The shard's control plane admits one call at a time: this one
+        # serialized charge per batch is the finite capacity that makes
+        # admission scale with the shard count, and its amortization lifts
+        # sustained tasks/sec.
         if self._service_time > 0.0:
             with self._admission_lock:
                 self.clock.sleep(self._service_time)
@@ -1123,10 +1043,6 @@ class FaasCloud:
         task_docs: list[dict] = []
         for i, item, endpoint_id, fingerprint in admitted:
             payload = item.args_payload
-            if payload.nominal_size < self.constants.faas_small_object_threshold:
-                # Zero-copy: small payloads rode the batched submit message,
-                # skipping the redis hop's second (de)serialization.
-                payload = borrow(payload)
             args_locator = self.store.write(payload)
             task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
             record = TaskRecord(
@@ -1146,26 +1062,27 @@ class FaasCloud:
             )
             records.append(record)
             results[i] = task_id
-            task_docs.append(
-                {
-                    "task_id": task_id,
-                    "func_id": item.func_id,
-                    "endpoint_id": endpoint_id,
-                    "locator": args_locator,
-                    "args": encode_payload(payload),
-                    "chaos_key": item.chaos_key,
-                    "submitted_at": record.submitted_at,
-                    "deadline_at": item.deadline_at,
-                    "fingerprint": fingerprint,
-                }
-            )
-        # Batch WAL fsync point: ONE append makes the whole admission
-        # durable, but each task doc inside it replays individually — the
-        # record stays per-task-replayable (see recover_cloud), so a crash
+            if self.journal is not None:
+                task_docs.append(
+                    {
+                        "task_id": task_id,
+                        "func_id": item.func_id,
+                        "endpoint_id": endpoint_id,
+                        "locator": args_locator,
+                        "args": encode_payload(payload),
+                        "chaos_key": item.chaos_key,
+                        "submitted_at": record.submitted_at,
+                        "deadline_at": item.deadline_at,
+                        "fingerprint": fingerprint,
+                    }
+                )
+        # WAL fsync point: ONE append makes the whole admission durable
+        # before any task becomes visible in a queue, and each task doc
+        # inside it replays individually (see recover_cloud), so a crash
         # between this append and the queue fan-out below loses nothing.
         if self.journal is not None:
             self.journal.append(
-                "submit_batch",
+                "submit",
                 client_id=client_id,
                 tenant=tenant,
                 tasks=task_docs,
@@ -1182,10 +1099,12 @@ class FaasCloud:
         counter_inc(
             "cloud.submits", len(records), tenant=tenant, shard=self._shard_label
         )
-        counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
-        # One coalesced doorbell per destination endpoint: the payload is
-        # the comma-joined id list (single-id doorbells have no comma, so
-        # unbatched consumers parse unchanged).
+        if len(items) > 1:
+            counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
+        # Doorbell *after* the enqueue so a subscriber that fetches on the
+        # notification always finds its tasks queued.  One coalesced
+        # doorbell per destination endpoint: the payload is the
+        # comma-joined id list (a lone task's doorbell has no comma).
         by_endpoint: dict[str, list[TaskRecord]] = {}
         for record in records:
             by_endpoint.setdefault(record.endpoint_id, []).append(record)
@@ -1408,7 +1327,7 @@ class FaasCloud:
         """Terminally fail a task from inside the cloud (deadline expiry,
         hedge-loser cancellation) with a fabricated failure result.
 
-        Uses the same exactly-once dance as :meth:`report_result`: the
+        Uses the same exactly-once dance as :meth:`report_results`: the
         terminal transition happens under the completed-feed lock, a copy
         that already went terminal wins, and the journal records the
         fabricated result so a crash-rebuilt shard agrees the task is done.
@@ -1418,13 +1337,17 @@ class FaasCloud:
         if self.journal is not None:
             self.journal.append(
                 "result",
-                task_id=record.task_id,
                 endpoint_id=record.endpoint_id,
-                success=False,
-                locator=locator,
-                payload=encode_payload(payload),
-                exempt=True,
-                at=self.clock.now(),
+                results=[
+                    {
+                        "task_id": record.task_id,
+                        "success": False,
+                        "locator": locator,
+                        "payload": encode_payload(payload),
+                        "exempt": True,
+                        "at": self.clock.now(),
+                    }
+                ],
             )
         with self._completed.cond:
             if record.status.terminal:
@@ -1506,46 +1429,6 @@ class FaasCloud:
             )
         return True
 
-    def report_result(
-        self,
-        token: Token,
-        endpoint_id: str,
-        task_id: str,
-        success: bool,
-        result_payload: Payload,
-    ) -> None:
-        self.auth.validate(token, SCOPE_COMPUTE)
-        record = self.task(task_id)
-        with self._completed.cond:
-            if not self._check_reporter(record, endpoint_id):
-                return
-        locator = self.store.write(result_payload, chaos_exempt=not success)
-        # Result-uplink fsync point: the outcome (and its bytes) is durable
-        # before the terminal transition or the client notification.  A
-        # crash after this append but before the bus publish is the classic
-        # lost-notification window — replay applies the journaled result and
-        # re-notifies, and the client's pending-table dedupe makes the
-        # duplicate harmless.  A duplicate report that loses the re-check
-        # below leaves an extra result record; replay keeps the first.
-        if self.journal is not None:
-            self.journal.append(
-                "result",
-                task_id=task_id,
-                endpoint_id=endpoint_id,
-                success=success,
-                locator=locator,
-                payload=encode_payload(result_payload),
-                exempt=not success,
-                at=self.clock.now(),
-            )
-        if not self._finalize_result(record, endpoint_id, success, locator):
-            return
-        self.bus.publish(
-            result_topic(record.client_id),
-            task_id,
-            chaos_key=record.chaos_key or task_id,
-        )
-
     def _finalize_result(
         self, record: TaskRecord, endpoint_id: str, success: bool, locator: str
     ) -> bool:
@@ -1626,19 +1509,21 @@ class FaasCloud:
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
     ) -> list:
-        """Uplink a drained batch of results in one API round trip.
+        """Uplink a list of results in one API round trip — the only report
+        path; a single result is a batch of one.
 
-        Pays one auth check and ONE WAL append for the whole batch (each
-        result doc inside it replays individually), coalesces the result
-        doorbells per destination client, and borrows sub-20 kB result
-        payloads onto the reply message so they skip the redis hop.
-        Returns a list aligned with ``results``: ``None`` for accepted or
-        duplicate-dropped reports, the per-task :class:`ReproError` (e.g.
-        :class:`LeaseExpiredError` for a stale lease) otherwise.
+        Pays one auth check and ONE WAL append for the whole list (each
+        result doc inside it replays individually) and coalesces the result
+        doorbells per destination client.  A sender that borrowed a sub-20
+        kB payload (``Payload.borrowed``) had it ride the message inline, so
+        it skips the redis hop.  Returns a list aligned with ``results``:
+        ``None`` for accepted or duplicate-dropped reports, the per-task
+        :class:`ReproError` (e.g. :class:`LeaseExpiredError` for a stale
+        lease) otherwise.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(results)
-        accepted: list[tuple[int, TaskRecord, bool, str, Payload]] = []
+        accepted: list[tuple[int, TaskRecord, bool, str]] = []
         result_docs: list[dict] = []
         for i, (task_id, success, result_payload) in enumerate(results):
             try:
@@ -1649,30 +1534,33 @@ class FaasCloud:
             except ReproError as exc:
                 outcomes[i] = exc
                 continue
-            if result_payload.nominal_size < self.constants.faas_small_object_threshold:
-                result_payload = borrow(result_payload)
             locator = self.store.write(result_payload, chaos_exempt=not success)
-            accepted.append((i, record, success, locator, result_payload))
-            result_docs.append(
-                {
-                    "task_id": task_id,
-                    "success": success,
-                    "locator": locator,
-                    "payload": encode_payload(result_payload),
-                    "exempt": not success,
-                    "at": self.clock.now(),
-                }
-            )
+            accepted.append((i, record, success, locator))
+            if self.journal is not None:
+                result_docs.append(
+                    {
+                        "task_id": task_id,
+                        "success": success,
+                        "locator": locator,
+                        "payload": encode_payload(result_payload),
+                        "exempt": not success,
+                        "at": self.clock.now(),
+                    }
+                )
         if not accepted:
             return outcomes
-        # Batch result fsync point: one append covers every outcome in the
-        # uplink, and each doc replays individually on recovery.
+        # Result-uplink fsync point: one append covers every outcome in the
+        # uplink, durable before the terminal transition or the client
+        # notification.  A crash after this append but before the bus
+        # publish is the classic lost-notification window — replay applies
+        # the journaled result and re-notifies, and the client's
+        # pending-table dedupe makes the duplicate harmless.  A duplicate
+        # report that loses the re-check below leaves an extra result doc;
+        # replay keeps the first.
         if self.journal is not None:
-            self.journal.append(
-                "result_batch", endpoint_id=endpoint_id, results=result_docs
-            )
+            self.journal.append("result", endpoint_id=endpoint_id, results=result_docs)
         notify: dict[str, list[TaskRecord]] = {}
-        for i, record, success, locator, _payload in accepted:
+        for i, record, success, locator in accepted:
             try:
                 if self._finalize_result(record, endpoint_id, success, locator):
                     notify.setdefault(record.client_id, []).append(record)
@@ -1726,14 +1614,15 @@ class FaasCloud:
         if self.journal is not None:
             self.journal.append("deadletter", op="drop", entry=entry.to_record())
         args_payload = self.store.read(entry.args_locator)
-        return self.submit(
+        [outcome] = self.submit_batch(
             token,
             entry.client_id,
-            entry.func_id,
-            endpoint_id,
-            args_payload,
+            [TaskSubmission(entry.func_id, endpoint_id, args_payload)],
             tenant=tenant,
         )
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     # -- durability ------------------------------------------------------------
     @staticmethod

@@ -38,6 +38,7 @@ from repro.proxystore.prefetch import apply_prefetch_hints
 from repro.resources.worker import WorkerPool
 from repro.serialize import (
     Payload,
+    borrow,
     deserialize,
     deserialize_cost,
     serialize,
@@ -130,10 +131,10 @@ class FaasEndpoint:
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
         # faster than one API round trip drains them, ship the whole backlog
-        # through ``report_results`` in a single call.  Opt-in because the
-        # batch composition depends on thread timing — rigs that verify
-        # bit-identical chaos ledgers with store-tier-matched faults keep
-        # the per-result path.
+        # through one ``report_results`` call, with small results riding it
+        # inline.  Opt-in because the batch composition depends on thread
+        # timing — rigs that verify bit-identical chaos ledgers with
+        # store-tier-matched faults keep one result per call.
         self._uplink_batching = uplink_batching
         self.endpoint_id = cloud.register_endpoint(
             token, name, pool.site, failover_group=failover_group
@@ -653,44 +654,40 @@ class FaasEndpoint:
             # Results wait here while paused (store-and-forward on our side).
             while self._paused.is_set():
                 self._clock.sleep(self._poll_interval)
-            if len(items) == 1:
-                task_id, success, payload, trace_ctx = items[0]
-                with trace_span(
-                    "result.uplink", parent=trace_ctx, endpoint=self.name
-                ):
-                    self._pay_api_call()
-                    try:
-                        self.cloud.report_result(
-                            self.token, self.endpoint_id, task_id, success, payload
-                        )
-                    except LeaseExpiredError:
-                        # Our lease lapsed (long pause / stall) and the task
-                        # was handed to a peer; the peer's result is the real
-                        # one.
-                        counter_inc("endpoint.stale_results", endpoint=self.name)
-            else:
-                self._uplink_batch(items)
+            self._uplink(items)
             if stopping:
                 return
 
-    def _uplink_batch(
+    def _uplink(
         self, items: list[tuple[str, bool, Payload, TraceContext | None]]
     ) -> None:
-        """Report a drained backlog in one API round trip."""
-        counter_inc("endpoint.uplink_batches", endpoint=self.name)
+        """Report a drained outbox (one result or many) in one API round
+        trip.  A batching endpoint borrows sub-20 kB results onto the
+        report message (zero-copy inline tier); without uplink batching
+        every result takes the paper's per-result store hop."""
+        if len(items) > 1:
+            counter_inc("endpoint.uplink_batches", endpoint=self.name)
+        small = self.cloud.constants.faas_small_object_threshold
+        results = [
+            (
+                task_id,
+                success,
+                borrow(payload)
+                if self._uplink_batching and payload.nominal_size < small
+                else payload,
+            )
+            for task_id, success, payload, _ctx in items
+        ]
         with trace_span("result.uplink", parent=items[0][3], endpoint=self.name):
             self._pay_api_call()
-            outcomes = self.cloud.report_results(
-                self.token,
-                self.endpoint_id,
-                [(task_id, success, payload) for task_id, success, payload, _ in items],
-            )
+            outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
         for outcome in outcomes:
             if isinstance(outcome, LeaseExpiredError):
+                # Our lease lapsed (long pause / stall) and the task was
+                # handed to a peer; the peer's result is the real one.
                 counter_inc("endpoint.stale_results", endpoint=self.name)
             elif isinstance(outcome, Exception):
-                # Anything beyond a stale lease is a protocol violation and
-                # must be as loud as the singular path.
+                # Anything beyond a stale lease is a protocol violation.
                 raise outcome
 
     def __enter__(self) -> "FaasEndpoint":

@@ -15,7 +15,7 @@ The quorum requirement is what separates poison from plain bad luck: a
 transient worker exception retried *on the same endpoint* accumulates one
 distinct-endpoint strike at most, and any success clears the slate.  To
 reach quorum quickly the cloud steers retries of striked fingerprints to
-endpoints that have not yet voted (see ``FaasCloud.submit``).
+endpoints that have not yet voted (see ``FaasCloud._admit_task``).
 
 Durability: the tracker itself is pure in-memory state; the owning cloud
 journals ``deadletter`` records (add on quarantine, drop on retry/drop)

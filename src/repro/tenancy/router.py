@@ -13,13 +13,16 @@ independently.
 The router is also where multi-tenancy is *enforced*:
 
 * every submit passes the tenant's token-bucket rate limit and quotas
-  (:meth:`TenantRegistry.admit_submit`) before touching a shard, raising
-  HTTP-429-shaped retryable :class:`~repro.exceptions.ThrottledError`
-  subclasses the client SDK backs off on;
-* the ``cloud.shard.drop`` chaos hook fires here — at admission, on the
-  content-derived submit key — opening a bounded outage window during
-  which that shard's partitions throttle while its durable state
-  (queues, payload store, task records) survives untouched.
+  (:meth:`TenantRegistry.admit_batch`; a lone task is a batch of one)
+  before touching a shard, raising HTTP-429-shaped retryable
+  :class:`~repro.exceptions.ThrottledError` subclasses the client SDK
+  backs off on;
+* the ``cloud.shard.drop`` and ``cloud.shard.crash`` chaos hooks fire
+  here — at admission, on each member's content-derived submit key — the
+  first opening a bounded outage window during which that shard's
+  partitions throttle while its durable state (queues, payload store,
+  task records) survives untouched, the second rebuilding the shard from
+  its journal.
 
 Routing back is prefix-based, no lookup tables: shard ``s2`` mints task
 ids ``task-s2-...`` and payload locators ``s2/redis:...``, so any id
@@ -50,7 +53,7 @@ from repro.faas.cloud import (
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import ROUTER_FETCH_POLL, PaperConstants
 from repro.net.topology import Network, Site
-from repro.observe import TraceContext, counter_inc
+from repro.observe import counter_inc
 from repro.serialize import Payload
 from repro.tenancy.hashring import HashRing, partition_key
 from repro.tenancy.shard import CloudShard
@@ -454,79 +457,45 @@ class CloudRouter:
         return sorted(set(reaped))
 
     # -- client side ----------------------------------------------------------
-    def submit(
-        self,
-        token: Token,
-        client_id: str,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        trace_ctx: TraceContext | None = None,
-        chaos_key: str | None = None,
-        prefetch: tuple = (),
-        deadline_at: float | None = None,
-    ) -> str:
-        """Admission: tenant auth → shard health → rate/quota → shard.
+    @staticmethod
+    def _fault_key(client_id: str, item: TaskSubmission) -> str:
+        """Content-derived key, attempt suffix stripped: every resubmission
+        of the same task is the *same* fault event, so a throttle-retry
+        loop cannot re-fire a fault and the ledger stays deterministic."""
+        return (item.chaos_key or f"{client_id}|{item.func_id}").split("#a", 1)[0]
 
-        The reservation (:meth:`TenantRegistry.admit_submit`) is released
-        if the shard rejects the submit downstream, so a payload-cap
-        rejection does not leak in-flight headroom."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
-        self._recover_outages()
-        shard_id = self._shard_for_partition(tenant, func_id)
-        # Content-derived key, attempt suffix stripped: every resubmission
-        # of the same task is the *same* drop event, so a throttle-retry
-        # loop cannot re-fire the fault and the ledger stays deterministic.
-        base_key = chaos_key or f"{client_id}|{func_id}"
-        base_key = base_key.split("#a", 1)[0]
-        spec = chaos_check("cloud.shard.drop", base_key, shard=shard_id, tenant=tenant)
-        if spec is not None:
-            window = self._begin_outage(shard_id)
-            counter_inc("cloud.shard_outages", shard=shard_id)
-            raise ShardUnavailableError(
-                f"injected fault {spec.mode!r}: shard {shard_id} dropped at "
-                f"admission; retry in {window:.3f}s",
-                retry_after=window,
-            )
-        # Harder than a drop: the shard process dies and its in-memory state
-        # is *discarded*.  The replacement is rebuilt synchronously from the
-        # shard's write-ahead journal; the submit itself throttles (it was
-        # never admitted) and the client's backoff retries it against the
-        # recovered shard.  Same attempt-stripped key: one crash per task.
-        spec = chaos_check("cloud.shard.crash", base_key, shard=shard_id, tenant=tenant)
-        if spec is not None:
-            counter_inc("cloud.shard_crashes", shard=shard_id)
-            report = self.crash_shard(shard_id)
-            raise ShardUnavailableError(
-                f"injected fault {spec.mode!r}: shard {shard_id} crashed at "
-                f"admission and was rebuilt from its journal "
-                f"({report.replayed} records, {report.recovery_s:.3f}s); "
-                "retry now",
-                retry_after=max(spec.delay, 0.05),
-            )
-        self._check_available(shard_id)
-        self.registry.admit_submit(tenant, args_payload.nominal_size)
-        try:
-            return self.shard(shard_id).submit(
-                token,
-                client_id,
-                func_id,
-                endpoint_id,
-                args_payload,
-                tenant=tenant,
-                trace_ctx=trace_ctx,
-                chaos_key=chaos_key,
-                prefetch=prefetch,
-                deadline_at=deadline_at,
-            )
-        except BaseException:
-            self.registry.release_submit(tenant, args_payload.nominal_size)
-            raise
+    def _shard_faults(
+        self, shard_id: str, tenant: str, client_id: str, items: list[TaskSubmission]
+    ) -> None:
+        """Run the shard-outage hooks for one sub-batch, per member in item
+        order; the first fire fails the whole sub-batch (it was never
+        admitted) with a retryable :class:`ShardUnavailableError`."""
+        for item in items:
+            key = self._fault_key(client_id, item)
+            spec = chaos_check("cloud.shard.drop", key, shard=shard_id, tenant=tenant)
+            if spec is not None:
+                window = self._begin_outage(shard_id)
+                counter_inc("cloud.shard_outages", shard=shard_id)
+                raise ShardUnavailableError(
+                    f"injected fault {spec.mode!r}: shard {shard_id} dropped at "
+                    f"admission; retry in {window:.3f}s",
+                    retry_after=window,
+                )
+            # Harder than a drop: the shard process dies and its in-memory
+            # state is *discarded*.  The replacement is rebuilt synchronously
+            # from the shard's write-ahead journal; the client's backoff
+            # retries the refused sub-batch against the recovered shard.
+            spec = chaos_check("cloud.shard.crash", key, shard=shard_id, tenant=tenant)
+            if spec is not None:
+                counter_inc("cloud.shard_crashes", shard=shard_id)
+                report = self.crash_shard(shard_id)
+                raise ShardUnavailableError(
+                    f"injected fault {spec.mode!r}: shard {shard_id} crashed at "
+                    f"admission and was rebuilt from its journal "
+                    f"({report.replayed} records, {report.recovery_s:.3f}s); "
+                    "retry now",
+                    retry_after=max(spec.delay, 0.05),
+                )
 
     def submit_batch(
         self,
@@ -536,11 +505,13 @@ class CloudRouter:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> list:
-        """Route a coalesced batch: one auth, one quota reservation and one
-        shard call per shard group (functions hash to shards, so a mixed
-        batch scatters into per-shard sub-batches).  Returns task ids or
-        per-task errors aligned with ``items``, like
-        :meth:`FaasCloud.submit_batch`.
+        """Admission: tenant auth → shard faults and health → rate/quota →
+        shard, with one quota reservation and one shard call per shard
+        group (functions hash to shards, so a mixed batch scatters into
+        per-shard sub-batches).  Members a shard rejects downstream give
+        their reservation back, so a payload-cap rejection does not leak
+        in-flight headroom.  Returns task ids or per-task errors aligned
+        with ``items``, like :meth:`FaasCloud.submit_batch`.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -557,6 +528,7 @@ class CloudRouter:
             group_items = [items[i] for i in indexes]
             total_bytes = sum(it.args_payload.nominal_size for it in group_items)
             try:
+                self._shard_faults(shard_id, tenant, client_id, group_items)
                 self._check_available(shard_id)
                 # One reservation covers the whole sub-batch (one rate
                 # token; all members' in-flight slots, atomically).
@@ -585,10 +557,7 @@ class CloudRouter:
             # caller has seen a task id yet.  Key the fault on a digest of
             # the batch's attempt-stripped member keys so identical runs
             # crash on the identical batch.
-            member_keys = sorted(
-                (it.chaos_key or f"{client_id}|{it.func_id}").split("#a", 1)[0]
-                for it in group_items
-            )
+            member_keys = sorted(self._fault_key(client_id, it) for it in group_items)
             digest = hashlib.sha256("|".join(member_keys).encode()).hexdigest()[:16]
             spec = chaos_check(
                 "cloud.batch.flush", digest, shard=shard_id, tenant=tenant
@@ -691,29 +660,17 @@ class CloudRouter:
             requeued.extend(shard.requeue_dispatched(token, endpoint_id))
         return requeued
 
-    def report_result(
-        self,
-        token: Token,
-        endpoint_id: str,
-        task_id: str,
-        success: bool,
-        result_payload: Payload,
-    ) -> None:
-        # Like the result read, reporting is never outage-gated: the
-        # endpoint uplink must keep draining even while admission throttles.
-        self._shard_for_task(task_id).report_result(
-            token, endpoint_id, task_id, success, result_payload
-        )
-
     def report_results(
         self,
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
     ) -> list:
-        """Batched uplink: scatter the drained results to their owning
-        shards (one shard call per group), merging the per-task outcomes
-        back into a list aligned with ``results``."""
+        """Uplink: scatter the results to their owning shards (one shard
+        call per group), merging the per-task outcomes back into a list
+        aligned with ``results``.  Like the result read, reporting is never
+        outage-gated: the endpoint uplink must keep draining even while
+        admission throttles."""
         outcomes: list = [None] * len(results)
         groups: dict[str, list[int]] = {}
         for i, (task_id, _success, _payload) in enumerate(results):

@@ -79,7 +79,7 @@ def test_submit_batch_record_replays_every_member(rig):
         record = fresh.task(task_id)
         assert record.status is TaskStatus.WAITING
         args = fresh.store.read(record.args_locator)
-        # The borrowed argument bytes were journaled and adopted verbatim.
+        # The argument bytes were journaled and adopted verbatim.
         assert deserialize(args)[0][0] in (2, 3, 4)
     assert fresh.queue_depth(rig.endpoint_id) == 3
 

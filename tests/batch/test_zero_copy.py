@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
-from repro.faas.cloud import TaskSubmission
+from repro.batch import BatchPolicy
+from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud, FaasEndpoint
 from repro.observe import MetricsRegistry, set_metrics
+from repro.resources import WorkerPool
 from repro.serialize import (
     Blob,
     borrow,
@@ -57,18 +58,50 @@ def test_store_tiers_borrowed_small_objects_inline(testbed):
     assert ":s3:" in f":{cloud.store.write(borrow(big))}"
 
 
-def test_submit_batch_borrows_small_payloads(testbed):
+def test_batching_client_borrows_small_payloads(testbed):
+    """Whether a small payload rides inline is the sender's decision: a
+    batching client's mid-band args skip the redis hop, an unbatched
+    client's take it — through the same cloud ``submit_batch`` path."""
+    cloud, token, endpoint_id, func_id = _cloud(testbed)
+    arg = Blob(8 * 1024)  # mid-band: redis if copied
+    batched = FaasClient(
+        cloud,
+        token,
+        site=testbed.theta_login,
+        batch=BatchPolicy(max_batch=64, flush_deadline=600.0, min_hold=600.0),
+    )
+    plain = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        future = batched.submit(func_id, endpoint_id, arg)
+        batched.flush_batches()
+        assert "inline:" in cloud.task(future.task_id).args_locator
+        single = plain.submit(func_id, endpoint_id, arg)
+        assert "redis:" in cloud.task(single.task_id).args_locator
+    finally:
+        batched.close()
+        plain.close()
+
+
+def _echo_8k():
+    return Blob(8 * 1024)
+
+
+def test_lone_result_from_batching_endpoint_rides_inline(testbed):
+    """A batching endpoint borrows even a lone drained result: one result
+    is an uplink batch of one, and the inline decision is the sender's."""
     metrics = MetricsRegistry()
     set_metrics(metrics)
-    cloud, token, endpoint_id, func_id = _cloud(testbed)
-    payload = serialize(((Blob(8 * 1024),), {}))  # mid-band: redis if copied
-    [task_id] = cloud.submit_batch(
-        token,
-        "client-1",
-        [TaskSubmission(func_id=func_id, endpoint_id=endpoint_id, args_payload=payload)],
-    )
-    record = cloud.task(task_id)
-    assert "inline:" in record.args_locator
-    # The singular path is untouched: the same payload still pays redis.
-    single_id = cloud.submit(token, "client-1", func_id, endpoint_id, payload)
-    assert "redis:" in cloud.task(single_id).args_locator
+    cloud, token, endpoint_id, _ = _cloud(testbed)
+    pool = WorkerPool(testbed.theta_compute, 1, name="zero-copy-uplink")
+    endpoint = FaasEndpoint(
+        "theta-batching", cloud, token, testbed.theta_login, pool, uplink_batching=True
+    ).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        future = client.run(_echo_8k, endpoint.endpoint_id)
+        assert future.result(timeout=60) == Blob(8 * 1024)
+    finally:
+        client.close()
+        endpoint.stop()
+    assert "inline:" in cloud.task(future.task_id).result_locator
+    assert metrics.counter_total("endpoint.uplink_batches") == 0

@@ -20,6 +20,8 @@ from repro.observe import MetricsRegistry, set_metrics
 from repro.resources import WorkerPool
 from repro.serialize import serialize
 
+from batch_of_one import report_one, submit_one
+
 
 def _add(a, b):
     return a + b
@@ -89,7 +91,7 @@ def test_lease_expiry_fails_queued_work_over_to_group_survivor(cloud_rig):
     cloud.heartbeat(token, ep_b)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
+        task_id = submit_one(cloud, token, "client", func_id, ep_a, serialize(((1, 2), {})))
         # ep_a fetches the task, then goes silent; ep_b keeps heartbeating.
         dispatched = cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
     assert [d.task_id for d in dispatched] == [task_id]
@@ -119,7 +121,7 @@ def test_lease_expiry_without_survivor_requeues_in_place(cloud_rig):
     cloud.heartbeat(token, ep)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(token, "client", func_id, ep, serialize(((1, 2), {})))
+        task_id = submit_one(cloud, token, "client", func_id, ep, serialize(((1, 2), {})))
         cloud.fetch_tasks(token, ep, 10, timeout=1.0)
     get_clock().sleep(4.0)
     assert cloud.expire_leases() == [ep]
@@ -137,11 +139,11 @@ def test_report_result_is_idempotent(cloud_rig):
     cloud.heartbeat(token, ep)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(token, "client", func_id, ep, serialize(((1, 2), {})))
+        task_id = submit_one(cloud, token, "client", func_id, ep, serialize(((1, 2), {})))
         cloud.fetch_tasks(token, ep, 10, timeout=1.0)
-        cloud.report_result(token, ep, task_id, True, serialize({"value": 3}))
+        report_one(cloud, token, ep, task_id, True, serialize({"value": 3}))
         # A second report (crash-requeued duplicate) is dropped, not an error.
-        cloud.report_result(token, ep, task_id, True, serialize({"value": 3}))
+        report_one(cloud, token, ep, task_id, True, serialize({"value": 3}))
     assert cloud.task(task_id).status is TaskStatus.SUCCESS
     assert metrics.counter_total("faas.duplicate_results") == 1
 
@@ -158,7 +160,7 @@ def test_stale_report_after_failover_raises_lease_expired(cloud_rig):
     cloud.heartbeat(token, ep_b)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
+        task_id = submit_one(cloud, token, "client", func_id, ep_a, serialize(((1, 2), {})))
         cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
     get_clock().sleep(2.0)
     cloud.heartbeat(token, ep_b)
@@ -167,7 +169,7 @@ def test_stale_report_after_failover_raises_lease_expired(cloud_rig):
     cloud.expire_leases()  # task now belongs to ep_b
     with at_site(testbed.theta_login):
         with pytest.raises(LeaseExpiredError):
-            cloud.report_result(token, ep_a, task_id, True, serialize({"value": 3}))
+            report_one(cloud, token, ep_a, task_id, True, serialize({"value": 3}))
 
 
 def test_report_for_task_never_owned_is_a_protocol_violation(cloud_rig):
@@ -177,10 +179,10 @@ def test_report_for_task_never_owned_is_a_protocol_violation(cloud_rig):
     cloud.heartbeat(token, ep_a)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
+        task_id = submit_one(cloud, token, "client", func_id, ep_a, serialize(((1, 2), {})))
         cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
         with pytest.raises(WorkflowError):
-            cloud.report_result(token, ep_b, task_id, True, serialize({"value": 3}))
+            report_one(cloud, token, ep_b, task_id, True, serialize({"value": 3}))
 
 
 def test_endpoint_crash_mid_lease_completes_on_survivor_without_client_help():

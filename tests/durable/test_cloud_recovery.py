@@ -24,6 +24,8 @@ from repro.faas.cloud import FaasCloud, TaskStatus
 from repro.net.fs import FileSystem
 from repro.serialize import deserialize, serialize
 
+from batch_of_one import report_one, submit_one
+
 
 def _square(x):
     return x * x
@@ -73,7 +75,8 @@ def rig(testbed):
 
 
 def _submit(rig, value, client="client-1"):
-    return rig.cloud.submit(
+    return submit_one(
+        rig.cloud,
         rig.token, client, rig.func_id, rig.endpoint_id, serialize(((value,), {}))
     )
 
@@ -92,7 +95,8 @@ def test_recovery_rebuilds_every_task_state(rig):
     waiting = _submit(rig, 4)
     dispatched = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
     assert [d.task_id for d in dispatched] == [done, inflight]
-    rig.cloud.report_result(
+    report_one(
+        rig.cloud,
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
     assert rig.cloud.next_completed("client-1", timeout=1.0) == done
@@ -141,16 +145,20 @@ def test_crash_between_result_write_and_bus_notification(rig):
     rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
     # Emulate the crash window: append the fsync'd result record by hand —
     # the in-memory transition, feed push, and bus publish all died with
-    # the process.  Mirrors the record `report_result` writes.
+    # the process.  Mirrors the record `report_results` writes.
     rig.journal.append(
         "result",
-        task_id=task_id,
         endpoint_id=rig.endpoint_id,
-        success=True,
-        locator=f"inline:{task_id}-result",
-        payload=encode_payload(serialize({"value": 25})),
-        exempt=False,
-        at=rig.cloud.clock.now(),
+        results=[
+            {
+                "task_id": task_id,
+                "success": True,
+                "locator": f"inline:{task_id}-result",
+                "payload": encode_payload(serialize({"value": 25})),
+                "exempt": False,
+                "at": rig.cloud.clock.now(),
+            }
+        ],
     )
 
     fresh = rig.crash()
@@ -174,15 +182,19 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
     args = serialize(((6,), {}))
     rig.journal.append(
         "submit",
-        task_id=task_id,
-        func_id=rig.func_id,
-        endpoint_id=rig.endpoint_id,
         client_id="client-1",
-        locator=f"inline:{task_id}-args",
-        args=encode_payload(args),
         tenant="default",
-        chaos_key=None,
-        submitted_at=rig.cloud.clock.now(),
+        tasks=[
+            {
+                "task_id": task_id,
+                "func_id": rig.func_id,
+                "endpoint_id": rig.endpoint_id,
+                "locator": f"inline:{task_id}-args",
+                "args": encode_payload(args),
+                "chaos_key": None,
+                "submitted_at": rig.cloud.clock.now(),
+            }
+        ],
     )
 
     fresh = rig.crash()
@@ -193,7 +205,8 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
     assert [d.task_id for d in dispatched] == [task_id]
     (value,), _ = deserialize(fresh.store.read(dispatched[0].args_locator))
     assert value == 6
-    fresh.report_result(
+    report_one(
+        fresh,
         rig.token, rig.endpoint_id, task_id, True, serialize({"value": 36})
     )
     assert fresh.next_completed("client-1", timeout=1.0) == task_id
@@ -205,7 +218,8 @@ def test_double_replay_of_the_same_segment_dedupes(rig):
     done = _submit(rig, 2)
     inflight = _submit(rig, 3)
     rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
-    rig.cloud.report_result(
+    report_one(
+        rig.cloud,
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
 
@@ -231,7 +245,8 @@ def test_recovery_replays_snapshot_plus_suffix_after_compaction(testbed):
     _submit(rig, 3)
     waiting = _submit(rig, 4)
     rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
-    rig.cloud.report_result(
+    report_one(
+        rig.cloud,
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
     assert rig.journal.log_bytes() > 0  # a suffix exists beyond the snapshot

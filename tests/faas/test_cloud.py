@@ -12,6 +12,8 @@ from repro.faas.auth import SCOPE_COMPUTE, AuthServer
 from repro.faas.cloud import FaasCloud, TaskStatus
 from repro.serialize import Blob, serialize
 
+from batch_of_one import report_one, submit_one
+
 
 def _square(x):
     return x * x
@@ -41,20 +43,20 @@ def test_unknown_function_rejected(rig):
     with pytest.raises(WorkflowError):
         cloud.get_function(token, "fn-ghost")
     with pytest.raises(WorkflowError):
-        cloud.submit(token, "c", "fn-ghost", rig[2], serialize(((), {})))
+        submit_one(cloud, token, "c", "fn-ghost", rig[2], serialize(((), {})))
 
 
 def test_submit_requires_auth(rig, testbed):
     cloud, token, endpoint_id = rig
     with pytest.raises(AuthenticationError):
-        cloud.submit(None, "c", "fn", endpoint_id, serialize(((), {})))
+        submit_one(cloud, None, "c", "fn", endpoint_id, serialize(((), {})))
 
 
 def test_unknown_endpoint_rejected(rig):
     cloud, token, _ = rig
     func_id = cloud.register_function(token, serialize(_square))
     with pytest.raises(EndpointUnavailableError):
-        cloud.submit(token, "c", func_id, "ep-ghost", serialize(((), {})))
+        submit_one(cloud, token, "c", func_id, "ep-ghost", serialize(((), {})))
 
 
 def test_payload_cap_enforced(rig):
@@ -62,20 +64,20 @@ def test_payload_cap_enforced(rig):
     func_id = cloud.register_function(token, serialize(_square))
     big = serialize(((Blob(50_000_000),), {}))
     with pytest.raises(PayloadTooLargeError):
-        cloud.submit(token, "c", func_id, endpoint_id, big)
+        submit_one(cloud, token, "c", func_id, endpoint_id, big)
 
 
 def test_small_payload_within_cap_accepted(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((2,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((2,), {})))
     assert cloud.task(task_id).status is TaskStatus.WAITING
 
 
 def test_task_lifecycle(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))
-    task_id = cloud.submit(token, "client-1", func_id, endpoint_id, serialize(((2,), {})))
+    task_id = submit_one(cloud, token, "client-1", func_id, endpoint_id, serialize(((2,), {})))
 
     dispatches = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
     assert [d.task_id for d in dispatches] == [task_id]
@@ -87,7 +89,7 @@ def test_task_lifecycle(rig):
     (value,), _ = deserialize(args)
     assert value == 2
 
-    cloud.report_result(token, endpoint_id, task_id, True, serialize({"success": True, "value": 4}))
+    report_one(cloud, token, endpoint_id, task_id, True, serialize({"success": True, "value": 4}))
     record = cloud.task(task_id)
     assert record.status is TaskStatus.SUCCESS
     assert cloud.next_completed("client-1", timeout=1.0) == task_id
@@ -99,7 +101,7 @@ def test_task_lifecycle(rig):
 def test_result_before_completion_rejected(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     with pytest.raises(WorkflowError):
         cloud.get_result_payload(token, task_id)
 
@@ -108,10 +110,10 @@ def test_wrong_endpoint_cannot_report(rig, testbed):
     cloud, token, endpoint_id = rig
     other = cloud.register_endpoint(token, "venti", testbed.venti)
     func_id = cloud.register_function(token, serialize(_square))
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
     with pytest.raises(WorkflowError):
-        cloud.report_result(token, other, task_id, True, serialize({}))
+        report_one(cloud, token, other, task_id, True, serialize({}))
 
 
 def test_store_and_forward_while_endpoint_offline(rig):
@@ -119,7 +121,7 @@ def test_store_and_forward_while_endpoint_offline(rig):
     func_id = cloud.register_function(token, serialize(_square))
     # Endpoint has never polled: tasks queue at the cloud.
     ids = [
-        cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
+        submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((i,), {})))
         for i in range(3)
     ]
     dispatches = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
@@ -130,7 +132,7 @@ def test_fetch_respects_max_tasks(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))
     for i in range(5):
-        cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
+        submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((i,), {})))
     first = cloud.fetch_tasks(token, endpoint_id, 2, timeout=1.0)
     assert len(first) == 2
     rest = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)

@@ -7,6 +7,8 @@ from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
 from repro.faas.cloud import TaskStatus
 from repro.serialize import serialize
 
+from batch_of_one import report_one, submit_one
+
 
 def _fn(x):
     return x
@@ -25,7 +27,7 @@ def rig(testbed):
 def test_requeue_restores_fetched_tasks_in_order(rig):
     cloud, token, endpoint_id, func_id = rig
     ids = [
-        cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
+        submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((i,), {})))
         for i in range(3)
     ]
     fetched = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
@@ -41,9 +43,10 @@ def test_requeue_restores_fetched_tasks_in_order(rig):
 
 def test_requeue_skips_completed_tasks(rig):
     cloud, token, endpoint_id, func_id = rig
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
-    cloud.report_result(
+    report_one(
+        cloud,
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
     assert cloud.requeue_dispatched(token, endpoint_id) == []
@@ -54,7 +57,7 @@ def test_requeue_with_nothing_dispatched_is_a_noop(rig):
     cloud, token, endpoint_id, func_id = rig
     assert cloud.requeue_dispatched(token, endpoint_id) == []
     # A queued-but-never-fetched task is untouched by a requeue.
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     assert cloud.requeue_dispatched(token, endpoint_id) == []
     assert cloud.task(task_id).status is TaskStatus.WAITING
 
@@ -63,11 +66,12 @@ def test_requeue_racing_report_result_keeps_exactly_one_outcome(rig):
     """A report that lands after the task was requeued must win exactly once:
     the requeued queue copy is dropped so the work is not run a second time."""
     cloud, token, endpoint_id, func_id = rig
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
     # The reclaim races the in-flight result: requeue first, report second.
     assert cloud.requeue_dispatched(token, endpoint_id) == [task_id]
-    cloud.report_result(
+    report_one(
+        cloud,
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
     assert cloud.task(task_id).status is TaskStatus.SUCCESS
@@ -84,14 +88,16 @@ def test_requeue_then_duplicate_execution_drops_second_result(rig):
     metrics = MetricsRegistry()
     set_metrics(metrics)
     cloud, token, endpoint_id, func_id = rig
-    task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    task_id = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
     cloud.requeue_dispatched(token, endpoint_id)
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)  # second execution
-    cloud.report_result(
+    report_one(
+        cloud,
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
-    cloud.report_result(  # the original, slower report arrives last
+    report_one(  # the original, slower report arrives last
+        cloud,
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
     assert cloud.task(task_id).status is TaskStatus.SUCCESS
@@ -106,9 +112,9 @@ def test_requeue_unknown_endpoint(rig):
 
 def test_requeue_preserves_queued_tasks_behind_reclaimed(rig):
     cloud, token, endpoint_id, func_id = rig
-    first = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
+    first = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((1,), {})))
     cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
-    later = cloud.submit(token, "c", func_id, endpoint_id, serialize(((2,), {})))
+    later = submit_one(cloud, token, "c", func_id, endpoint_id, serialize(((2,), {})))
     cloud.requeue_dispatched(token, endpoint_id)
     order = [d.task_id for d in cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)]
     assert order == [first, later]  # reclaimed work resumes ahead of new work

@@ -18,6 +18,8 @@ from repro.observe import MetricsRegistry, set_metrics
 from repro.resilience import BREAKER_OPEN, EndpointHealthTracker, HealthPolicy
 from repro.serialize import serialize
 
+from batch_of_one import report_one, submit_one
+
 # Long lease TTL: these tests isolate the *gray* path, where the endpoint
 # keeps heartbeating and only the breaker (never lease expiry) sheds work.
 SLOW_LEASES = dict(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=120.0)
@@ -62,13 +64,14 @@ def _gray_out(testbed, cloud, token, ep_a, extra_tasks=2):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         task_ids = [
-            cloud.submit(token, "client", func_id, ep_a, serialize(((i, i), {})))
+            submit_one(cloud, token, "client", func_id, ep_a, serialize(((i, i), {})))
             for i in range(1 + extra_tasks)
         ]
         dispatched = cloud.fetch_tasks(token, ep_a, 1, timeout=1.0)
         assert [d.task_id for d in dispatched] == task_ids[:1]
         get_clock().sleep(10.0)  # the dispatch -> result latency sample
-        cloud.report_result(
+        report_one(
+            cloud,
             token, ep_a, task_ids[0], True, serialize({"success": True, "value": 0})
         )
     return func_id, task_ids
@@ -109,14 +112,16 @@ def test_shed_moves_in_flight_work_and_stales_the_gray_report():
     testbed, cloud, token, ep_a, ep_b = _rig()
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        first = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 1), {})))
-        straggler = cloud.submit(
+        first = submit_one(cloud, token, "client", func_id, ep_a, serialize(((1, 1), {})))
+        straggler = submit_one(
+            cloud,
             token, "client", func_id, ep_a, serialize(((2, 2), {}))
         )
         cloud.fetch_tasks(token, ep_a, 2, timeout=1.0)  # both now DISPATCHED
         get_clock().sleep(10.0)
         cloud.heartbeat(token, ep_a)
-        cloud.report_result(
+        report_one(
+            cloud,
             token, ep_a, first, True, serialize({"success": True, "value": 2})
         )
         cloud.heartbeat(token, ep_b)  # sweep: ep_a is gray now
@@ -126,7 +131,8 @@ def test_shed_moves_in_flight_work_and_stales_the_gray_report():
         # The gray endpoint eventually finishes the straggler anyway; its
         # report must land as a stale lease, not a second execution.
         with pytest.raises(LeaseExpiredError):
-            cloud.report_result(
+            report_one(
+                cloud,
                 token, ep_a, straggler, True, serialize({"success": True, "value": 4})
             )
 
@@ -138,7 +144,8 @@ def test_submit_steers_away_from_an_open_breaker():
     func_id, _ = _gray_out(testbed, cloud, token, ep_a, extra_tasks=0)
     cloud.heartbeat(token, ep_b)  # opens ep_a's breaker via the sweep
     with at_site(testbed.theta_login):
-        steered = cloud.submit(
+        steered = submit_one(
+            cloud,
             token, "client", func_id, ep_a, serialize(((9, 9), {}))
         )
     assert cloud.task(steered).endpoint_id == ep_b
@@ -150,7 +157,7 @@ def test_open_breaker_gates_fetch_without_breaking_cadence():
     func_id, _ = _gray_out(testbed, cloud, token, ep_a, extra_tasks=0)
     cloud.heartbeat(token, ep_b)
     with at_site(testbed.theta_login):
-        queued = cloud.submit(token, "client", func_id, ep_b, serialize(((3, 3), {})))
+        queued = submit_one(cloud, token, "client", func_id, ep_b, serialize(((3, 3), {})))
         # ep_a is refused work while open, even with backlog elsewhere.
         assert cloud.fetch_tasks(token, ep_a, 10, timeout=0.5) == []
         assert cloud.health.evaluate(ep_a, get_clock().now()) == BREAKER_OPEN
@@ -169,13 +176,14 @@ def test_half_open_probe_closes_the_breaker_through_dispatch():
     cloud.heartbeat(token, ep_b)
     with at_site(testbed.theta_login):
         # Half-open no longer steers, so the probe task queues on ep_a...
-        probe = cloud.submit(token, "client", func_id, ep_a, serialize(((5, 5), {})))
+        probe = submit_one(cloud, token, "client", func_id, ep_a, serialize(((5, 5), {})))
         assert cloud.task(probe).endpoint_id == ep_a
         # ...and the fetch admits exactly the probe budget.
         dispatched = cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
         assert [d.task_id for d in dispatched] == [probe]
         get_clock().sleep(0.5)  # a healthy latency this time
-        cloud.report_result(
+        report_one(
+            cloud,
             token, ep_a, probe, True, serialize({"success": True, "value": 10})
         )
     assert cloud.health.state(ep_a) == "closed"

@@ -26,6 +26,8 @@ from repro.resilience import PoisonPolicy, PoisonTracker
 from repro.resources import WorkerPool
 from repro.serialize import serialize
 
+from batch_of_one import report_one, submit_one
+
 FAST = dict(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=30.0)
 
 
@@ -146,7 +148,8 @@ class DurableRig:
         """Submit the canonical args to ``endpoint_id`` and report a
         terminal failure from it; returns the record's fingerprint."""
         with at_site(self.testbed.theta_login):
-            task_id = self.cloud.submit(
+            task_id = submit_one(
+                self.cloud,
                 self.token,
                 "client",
                 self.func_id,
@@ -156,7 +159,8 @@ class DurableRig:
             self.cloud.heartbeat(self.token, endpoint_id)
             dispatched = self.cloud.fetch_tasks(self.token, endpoint_id, 10, 1.0)
             assert task_id in [d.task_id for d in dispatched]
-            self.cloud.report_result(
+            report_one(
+                self.cloud,
                 self.token,
                 endpoint_id,
                 task_id,
@@ -177,7 +181,8 @@ def test_quarantine_survives_crash_recovery(testbed):
     assert rig.cloud.poison.is_quarantined("default", fingerprint)
     with at_site(testbed.theta_login):
         with pytest.raises(TaskQuarantinedError):
-            rig.cloud.submit(
+            submit_one(
+                rig.cloud,
                 rig.token, "client", rig.func_id, rig.ep_a, serialize(((1, 2), {}))
             )
     # A drop is journaled too: after another crash the entry stays gone.
@@ -186,7 +191,8 @@ def test_quarantine_survives_crash_recovery(testbed):
     assert not rig.cloud.poison.is_quarantined("default", fingerprint)
     assert rig.cloud.deadletters() == []
     with at_site(testbed.theta_login):
-        task_id = rig.cloud.submit(
+        task_id = submit_one(
+            rig.cloud,
             rig.token, "client", rig.func_id, rig.ep_a, serialize(((1, 2), {}))
         )
     assert rig.cloud.task(task_id).status is TaskStatus.WAITING

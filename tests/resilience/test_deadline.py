@@ -22,6 +22,8 @@ from repro.observe import MetricsRegistry, set_metrics
 from repro.resources import WorkerPool
 from repro.serialize import deserialize, serialize
 
+from batch_of_one import submit_one
+
 FAST = dict(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=30.0)
 
 
@@ -55,7 +57,8 @@ def test_submit_refuses_an_already_expired_deadline(cloud_rig):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         with pytest.raises(DeadlineExceededError):
-            cloud.submit(
+            submit_one(
+                cloud,
                 token,
                 "client",
                 func_id,
@@ -73,7 +76,8 @@ def test_queued_task_expires_at_fetch_instead_of_shipping(cloud_rig):
     cloud.heartbeat(token, ep)
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
-        task_id = cloud.submit(
+        task_id = submit_one(
+            cloud,
             token,
             "client",
             func_id,

@@ -30,6 +30,8 @@ from repro.net.defaults import PaperConstants, build_paper_testbed
 from repro.resources import WorkerPool
 from repro.serialize import serialize
 
+from batch_of_one import submit_one
+
 
 def _add(a, b):
     return a + b
@@ -105,7 +107,7 @@ def noisy_cloud():
             for i in range(40):
                 if stop.is_set():
                     return
-                cloud.submit(token, "noise", func_id, busy, serialize(((i, i), {})))
+                submit_one(cloud, token, "noise", func_id, busy, serialize(((i, i), {})))
                 get_clock().sleep(0.25)
 
     thread = threading.Thread(target=hammer, daemon=True)

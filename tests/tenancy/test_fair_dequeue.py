@@ -8,6 +8,8 @@ from repro.net.context import at_site
 from repro.serialize import serialize
 from repro.tenancy import TenantRegistry, tenant_scope
 
+from batch_of_one import submit_one
+
 
 def _noop():
     return None
@@ -42,7 +44,8 @@ def _flood(cloud, token, endpoint_id, funcs, counts):
     with at_site(cloud.site):
         for tenant, count in counts.items():
             for i in range(count):
-                cloud.submit(
+                submit_one(
+                    cloud,
                     token,
                     "client-x",
                     funcs[tenant],

@@ -14,6 +14,8 @@ from repro.resources import WorkerPool
 from repro.serialize import serialize
 from repro.tenancy import CloudRouter, tenant_scope
 
+from batch_of_one import submit_one
+
 
 def _add(a, b):
     return a + b
@@ -94,7 +96,8 @@ def test_tenant_cannot_call_another_tenants_function(rig):
     with at_site(testbed.theta_login):
         func_id = alice.register_function(_add)
         with pytest.raises(WorkflowError, match="unknown function"):
-            router.submit(
+            submit_one(
+                router,
                 bob.token,
                 bob.client_id,
                 func_id,
@@ -123,7 +126,8 @@ def test_unknown_tenant_and_bad_names_rejected_at_the_router(rig):
             )
         func_id = alice.register_function(_add)
         with pytest.raises(InvalidTenantError):
-            router.submit(
+            submit_one(
+                router,
                 alice.token,
                 alice.client_id,
                 func_id,

@@ -85,7 +85,7 @@ def test_registry_always_has_default_tenant():
     assert DEFAULT_TENANT in registry.names()
     # Unlimited: many submits admit without throttling.
     for _ in range(100):
-        registry.admit_submit(DEFAULT_TENANT, 10)
+        registry.admit_batch(DEFAULT_TENANT, 1, 10)
 
 
 def test_duplicate_and_invalid_creates_rejected():
@@ -104,19 +104,19 @@ def test_duplicate_and_invalid_creates_rejected():
 def test_unknown_tenant_is_a_targeted_error():
     registry = TenantRegistry()
     with pytest.raises(InvalidTenantError):
-        registry.admit_submit("ghost", 0)
+        registry.admit_batch("ghost", 1, 0)
 
 
 def test_in_flight_quota_blocks_then_releases():
     registry = TenantRegistry()
     registry.create("alice", quota=TenantQuota(max_in_flight=2))
-    registry.admit_submit("alice", 100)
-    registry.admit_submit("alice", 100)
+    registry.admit_batch("alice", 1, 100)
+    registry.admit_batch("alice", 1, 100)
     with pytest.raises(TenantQuotaExceededError):
-        registry.admit_submit("alice", 100)
+        registry.admit_batch("alice", 1, 100)
     registry.task_dispatched("alice", 100)
     registry.task_finished("alice")  # headroom returns at terminal
-    registry.admit_submit("alice", 100)
+    registry.admit_batch("alice", 1, 100)
     usage = registry.get("alice").usage
     assert usage.in_flight == 2
     assert usage.throttled == 1
@@ -125,14 +125,14 @@ def test_in_flight_quota_blocks_then_releases():
 def test_queued_bytes_quota_tracks_dispatch_and_requeue():
     registry = TenantRegistry()
     registry.create("alice", quota=TenantQuota(max_queued_bytes=150))
-    registry.admit_submit("alice", 100)
+    registry.admit_batch("alice", 1, 100)
     with pytest.raises(TenantQuotaExceededError):
-        registry.admit_submit("alice", 100)
+        registry.admit_batch("alice", 1, 100)
     registry.task_dispatched("alice", 100)  # bytes leave the queue
-    registry.admit_submit("alice", 100)
+    registry.admit_batch("alice", 1, 100)
     registry.task_requeued("alice", 100)  # crash: bytes come back
     with pytest.raises(TenantQuotaExceededError):
-        registry.admit_submit("alice", 100)
+        registry.admit_batch("alice", 1, 100)
 
 
 def test_function_quota():
@@ -146,18 +146,18 @@ def test_function_quota():
 def test_rate_limit_throttles_with_retry_after():
     registry = TenantRegistry()
     registry.create("alice", rate=5.0, burst=1.0)
-    registry.admit_submit("alice", 0)
+    registry.admit_batch("alice", 1, 0)
     with pytest.raises(TenantQuotaExceededError) as excinfo:
-        registry.admit_submit("alice", 0)
+        registry.admit_batch("alice", 1, 0)
     assert excinfo.value.retry_after > 0.0
 
 
 def test_release_submit_undoes_reservation():
     registry = TenantRegistry()
     registry.create("alice", quota=TenantQuota(max_in_flight=1))
-    registry.admit_submit("alice", 64)
-    registry.release_submit("alice", 64)
-    registry.admit_submit("alice", 64)  # headroom came back
+    registry.admit_batch("alice", 1, 64)
+    registry.release_batch("alice", 1, 64)
+    registry.admit_batch("alice", 1, 64)  # headroom came back
     usage = registry.get("alice").usage
     assert usage.in_flight == 1
     assert usage.queued_bytes == 64
@@ -168,7 +168,7 @@ def test_render_tenant_table():
     registry = TenantRegistry()
     registry.create("alice", weight=3, quota=TenantQuota(max_in_flight=8))
     registry.create("bob", rate=2.0)
-    registry.admit_submit("alice", 10)
+    registry.admit_batch("alice", 1, 10)
     table = render_tenant_table(registry)
     lines = table.splitlines()
     assert "tenant" in lines[0] and "throttled" in lines[0]
