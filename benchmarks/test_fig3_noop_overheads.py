@@ -41,9 +41,11 @@ SIZES = {"10kB": 10_000, "1MB": 1_000_000}
 BACKENDS = ("none", "file", "redis")
 
 #: Small-task storm scale for the batched-vs-unbatched comparison;
-#: REPRO_BATCH_QUICK=1 shrinks it for the CI smoke job.
-STORM_TASKS = 60 if os.environ.get("REPRO_BATCH_QUICK") else 200
-STORM_SINGLES = 4 if os.environ.get("REPRO_BATCH_QUICK") else 8
+#: REPRO_BATCH_QUICK=1 shrinks it for the CI smoke job, whose ledger goes to
+#: ``BENCH_fig3.quick.json`` so it never overwrites the committed snapshot.
+QUICK = bool(os.environ.get("REPRO_BATCH_QUICK"))
+STORM_TASKS = 60 if QUICK else 200
+STORM_SINGLES = 4 if QUICK else 8
 STORM_PAYLOAD = 10_000  # the redis band: the second-hop cost batching skips
 
 
@@ -308,10 +310,12 @@ def test_fig3_batched_storm(benchmark, report_sink):
 
     results_dir = pathlib.Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_fig3.json").write_text(
+    ledger = "BENCH_fig3.quick.json" if QUICK else "BENCH_fig3.json"
+    (results_dir / ledger).write_text(
         json.dumps(
             {
                 "figure": "fig3-batched-storm",
+                "mode": "quick" if QUICK else "full",
                 "payload_bytes": STORM_PAYLOAD,
                 "unbatched": plain,
                 "batched": fast,

@@ -56,15 +56,24 @@ __all__ = [
 
 
 def encode_payload(payload: Payload) -> dict:
-    """JSON-safe encoding of a :class:`Payload` (bytes + nominal size)."""
-    return {
+    """JSON-safe encoding of a :class:`Payload`: bytes, nominal size and,
+    when set, the sender's borrow decision, so a replayed payload is
+    charged on the wire exactly as the original was."""
+    doc = {
         "b64": base64.b64encode(payload.data).decode("ascii"),
         "nominal": payload.nominal_size,
     }
+    if payload.borrowed:
+        doc["borrowed"] = True
+    return doc
 
 
 def decode_payload(doc: dict) -> Payload:
-    return Payload(base64.b64decode(doc["b64"]), int(doc["nominal"]))
+    return Payload(
+        base64.b64decode(doc["b64"]),
+        int(doc["nominal"]),
+        bool(doc.get("borrowed", False)),
+    )
 
 
 class JournalBackend(Protocol):

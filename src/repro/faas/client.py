@@ -56,7 +56,13 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import Token
-from repro.faas.cloud import FaasCloud, TaskStatus, TaskSubmission, result_topic
+from repro.faas.cloud import (
+    FaasCloud,
+    TaskStatus,
+    TaskSubmission,
+    result_topic,
+    wire_time,
+)
 from repro.tenancy.tenant import DEFAULT_TENANT, validate_function_name
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import (
@@ -519,17 +525,16 @@ class FaasClient:
             batch = [submissions[i] for i in live]
             self._pay_api_call()
             counter_inc("faas.api_calls", op="submit")
-            # Borrowed payloads ride the submit message itself, so their
-            # bytes are charged as request transfer, not as store ops.
-            inline_bytes = sum(
-                s.args_payload.nominal_size for s in batch if s.args_payload.borrowed
-            )
-            if inline_bytes:
-                self._clock.sleep(
-                    self.cloud.network.transfer_time(
-                        site, self.cloud.site, inline_bytes
-                    )
+            # Borrowed payloads ride the submit request, whose round trip
+            # was just paid: their bytes are charged on it, not as store ops.
+            network, cloud_site = self.cloud.network, self.cloud.site
+            self._clock.sleep(
+                sum(
+                    wire_time(network, site, cloud_site, p, leg_paid=True)
+                    for p in (s.args_payload for s in batch)
+                    if p.borrowed
                 )
+            )
             results = self.cloud.submit_batch(
                 self.token, self.client_id, batch, tenant=self.tenant
             )
@@ -673,14 +678,14 @@ class FaasClient:
         counter_inc("client.attached", endpoint=endpoint_id)
         # The crash window: the task may have completed (and its doorbell
         # may have been acked) before the predecessor died.  The ledger is
-        # ground truth — deliver terminal tasks inline; `_handle_completion`
+        # ground truth — deliver terminal tasks inline; `_handle_completions`
         # pops the pending entry, so a late duplicate doorbell is a no-op.
         try:
             record = self.cloud.task(task_id)
         except WorkflowError:
             record = None
         if record is not None and record.status.terminal:
-            self._handle_completion(task_id)
+            self._handle_completions([task_id])
         return future
 
     # -- result delivery -----------------------------------------------------------
@@ -700,14 +705,15 @@ class FaasClient:
                     continue
                 for envelope in envelopes:
                     # A coalesced doorbell carries a comma-joined id list;
-                    # singles have no comma and take the unbatched path.
+                    # a single's has no comma and is a batch of one.
                     self._handle_completions(envelope.payload.split(","))
                     consumer.done(envelope)
                 continue
             # Poll fallback (and the only path when the bus is disabled):
             # the completed queue is the ground truth the bus doorbells over.
             # A batching client drains multi-task leases in one call; the
-            # unbatched client keeps the exact one-at-a-time legacy path.
+            # unbatched client drains one id at a time.  Either way the ids
+            # go through the one completion path.
             fetch_batch = (
                 getattr(self.cloud, "next_completed_batch", None)
                 if self._batcher is not None
@@ -715,16 +721,14 @@ class FaasClient:
             )
             if fetch_batch is not None:
                 task_ids = fetch_batch(self.client_id, timeout=self._poll_interval)
-                if task_ids:
-                    self._handle_completions(task_ids)
-                    continue
             else:
                 task_id = self.cloud.next_completed(
                     self.client_id, timeout=self._poll_interval
                 )
-                if task_id is not None:
-                    self._handle_completion(task_id)
-                    continue  # keep draining until the queue is confirmed empty
+                task_ids = [task_id] if task_id is not None else []
+            if task_ids:
+                self._handle_completions(task_ids)
+                continue  # keep draining until the queue is confirmed empty
             if consumer is not None and self._fallback:
                 # Hand back to the bus only after an empty drain: completions
                 # whose notifications were trimmed from the redelivery window
@@ -901,17 +905,15 @@ class FaasClient:
         self._finish_attempt(group.primary, group.last_error, group.last_traceback)
 
     def _handle_completions(self, task_ids: list[str]) -> None:
-        """Resolve a coalesced completion notification.
+        """Resolve one completion notification (a lone id or a coalesced
+        batch) — the only way a result reaches a future.
 
-        A single id takes the unbatched path unchanged.  A multi-id
-        doorbell downloads every result behind *one* notification-push
-        latency, then reads, transfers, and settles each task
-        individually — per-task dedupe, retry, and hedge reconciliation
-        are untouched.
+        The notification push latency is paid once.  Borrowed results ride
+        one download reply, so they share its leg; any other result pays a
+        leg of its own (``wire_time``).  A lone completion therefore costs
+        push + one leg + deserialize, as it always has.  Each task is still
+        read, settled, deduped, retried and hedge-reconciled on its own.
         """
-        if len(task_ids) == 1:
-            self._handle_completion(task_ids[0])
-            return
         entries: list[tuple[str, _PendingTask]] = []
         with self._futures_lock:
             for task_id in task_ids:
@@ -919,21 +921,25 @@ class FaasClient:
                 if pending is not None:
                     entries.append((task_id, pending))
         if not entries:
-            return
+            return  # e.g. cancelled/unknown/already-handled tasks
+        if len(entries) > 1:
+            counter_inc("client.batched_downloads", len(entries))
         site = self._home_site()
-        self._clock.sleep(self.cloud.network.latency(self.cloud.site, site))
-        counter_inc("client.batched_downloads", len(entries))
+        network, cloud_site = self.cloud.network, self.cloud.site
+        push = network.latency(cloud_site, site)
+        leg_paid = False
         for task_id, pending in entries:
             try:
                 with trace_span("result.download", parent=pending.trace_ctx):
+                    self._clock.sleep(push)
+                    push = 0.0
                     status, payload = self.cloud.get_result_payload(
                         self.token, task_id
                     )
                     self._clock.sleep(
-                        self.cloud.network.transfer_time(
-                            self.cloud.site, site, payload.nominal_size
-                        )
+                        wire_time(network, cloud_site, site, payload, leg_paid=leg_paid)
                     )
+                    leg_paid = leg_paid or payload.borrowed
                     emit(
                         "data_transfer",
                         resource=site.name,
@@ -943,6 +949,8 @@ class FaasClient:
                     self._clock.sleep(deserialize_cost(payload.nominal_size))
                     body = deserialize(payload)
             except ReproError as exc:
+                # The download itself failed (e.g. the cloud store returned
+                # corrupt data): consumes an attempt like a remote failure.
                 self._settle_leg(task_id, pending, False, None, repr(exc), None)
                 continue
             if status is TaskStatus.SUCCESS and body.get("success"):
@@ -956,53 +964,6 @@ class FaasClient:
                     body.get("error", "remote task failed"),
                     body.get("traceback"),
                 )
-
-    def _handle_completion(self, task_id: str) -> None:
-        with self._futures_lock:
-            pending = self._pending.pop(task_id, None)
-        if pending is None:
-            return  # e.g. a cancelled/unknown/already-handled task
-        try:
-            status, body = self._download(task_id, pending.trace_ctx)
-        except ReproError as exc:
-            # The download itself failed (e.g. the cloud store returned
-            # corrupt data): consumes an attempt like a remote failure.
-            self._settle_leg(task_id, pending, False, None, repr(exc), None)
-            return
-        if status is TaskStatus.SUCCESS and body.get("success"):
-            self._settle_leg(task_id, pending, True, body["value"], "", None)
-        else:
-            self._settle_leg(
-                task_id,
-                pending,
-                False,
-                None,
-                body.get("error", "remote task failed"),
-                body.get("traceback"),
-            )
-
-    def _download(
-        self, task_id: str, trace_ctx: TraceContext | None
-    ) -> tuple[TaskStatus, dict]:
-        # Notification push + result download, charged to the client.
-        with trace_span("result.download", parent=trace_ctx):
-            site = self._home_site()
-            self._clock.sleep(self.cloud.network.latency(self.cloud.site, site))
-            status, payload = self.cloud.get_result_payload(self.token, task_id)
-            self._clock.sleep(
-                self.cloud.network.transfer_time(
-                    self.cloud.site, site, payload.nominal_size
-                )
-            )
-            emit(
-                "data_transfer",
-                resource=site.name,
-                bytes=payload.nominal_size,
-                via="faas-cloud",
-            )
-            self._clock.sleep(deserialize_cost(payload.nominal_size))
-            body = deserialize(payload)
-        return status, body
 
     def _finish_attempt(
         self, pending: _PendingTask, error: str, traceback_text: str | None

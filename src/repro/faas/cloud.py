@@ -74,6 +74,7 @@ __all__ = [
     "FaasCloud",
     "task_topic",
     "result_topic",
+    "wire_time",
 ]
 
 
@@ -85,6 +86,18 @@ def task_topic(endpoint_id: str) -> str:
 def result_topic(client_id: str) -> str:
     """Bus topic carrying result notifications for one client."""
     return f"results/{client_id}"
+
+
+def wire_time(
+    network: Network, src: Site, dst: Site, payload: Payload, *, leg_paid: bool
+) -> float:
+    """Nominal seconds ``payload`` spends on the wire — the carry rule for
+    every FaaS hop.  An unborrowed payload takes a leg of its own (latency
+    plus bytes); a borrowed one rides its carrying message and adds only
+    its bytes, plus that leg's latency if the caller has not paid it."""
+    if payload.borrowed and leg_paid:
+        return payload.nominal_size / network.bandwidth(src, dst)
+    return network.transfer_time(src, dst, payload.nominal_size)
 
 
 class TaskStatus(str, Enum):

@@ -29,7 +29,7 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import Token
-from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic
+from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic, wire_time
 from repro.net.clock import Clock, get_clock
 from repro.net.context import SiteThread
 from repro.net.topology import Site
@@ -483,14 +483,15 @@ class FaasEndpoint:
                 counter_inc("endpoint.prefetches", endpoint=self.name)
         # Pull the argument payload down from the cloud store (charged to
         # this thread: the endpoint is the one blocked on the download).
+        # Borrowed args rode the fetch reply, whose latency ``_fetch``
+        # already paid: only their bytes cost time here.
         with trace_span(
             "endpoint.fetch", parent=dispatch.trace_ctx, endpoint=self.name
         ):
             args_payload = self.cloud.store.read(dispatch.args_locator)
+            network, cloud_site = self.cloud.network, self.cloud.site
             self._clock.sleep(
-                self.cloud.network.transfer_time(
-                    self.cloud.site, self.site, args_payload.nominal_size
-                )
+                wire_time(network, cloud_site, self.site, args_payload, leg_paid=True)
             )
             emit(
                 "data_transfer",
@@ -680,6 +681,15 @@ class FaasEndpoint:
         ]
         with trace_span("result.uplink", parent=items[0][3], endpoint=self.name):
             self._pay_api_call()
+            # Borrowed results ride the report request: bytes on its leg.
+            network, cloud_site = self.cloud.network, self.cloud.site
+            self._clock.sleep(
+                sum(
+                    wire_time(network, self.site, cloud_site, p, leg_paid=True)
+                    for _task_id, _success, p in results
+                    if p.borrowed
+                )
+            )
             outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
         for outcome in outcomes:
             if isinstance(outcome, LeaseExpiredError):

@@ -75,19 +75,32 @@ class GlobusConnector(Connector):
     def _path(self, key: str) -> str:
         return f"{self._dir}/{key}"
 
+    def _replicate(self, local: TransferEndpoint, paths: dict[str, str]) -> None:
+        """Submit ONE transfer of ``paths`` (key -> path) per distinct remote
+        endpoint and record its task id for every site name that endpoint
+        serves: sites sharing a file system (a login node and its compute
+        nodes) share an endpoint, so they share the transfer too."""
+        sites: dict[str, list[str]] = {}
+        for site_name, remote in self._endpoints.items():
+            if remote.endpoint_id != local.endpoint_id:
+                sites.setdefault(remote.endpoint_id, []).append(site_name)
+        for endpoint_id, site_names in sites.items():
+            task_id = self._client.submit(
+                local.endpoint_id,
+                endpoint_id,
+                [(path, path) for path in paths.values()],
+            )
+            with self._lock:
+                for key in paths:
+                    for site_name in site_names:
+                        self._pending[(key, site_name)] = task_id
+
     # -- Connector API ---------------------------------------------------------
     def put(self, key: str, payload: Payload) -> None:
         local = self._local_endpoint()
         path = self._path(key)
         local.volume.write(path, payload.data, payload.nominal_size)
-        for site_name, remote in self._endpoints.items():
-            if remote.endpoint_id == local.endpoint_id:
-                continue
-            task_id = self._client.submit(
-                local.endpoint_id, remote.endpoint_id, [(path, path)]
-            )
-            with self._lock:
-                self._pending[(key, site_name)] = task_id
+        self._replicate(local, {key: path})
 
     def put_batch(self, items: dict[str, Payload]) -> None:
         """Stage all items, then submit ONE transfer task per destination.
@@ -104,17 +117,7 @@ class GlobusConnector(Connector):
             path = self._path(key)
             local.volume.write(path, payload.data, payload.nominal_size)
             paths[key] = path
-        for site_name, remote in self._endpoints.items():
-            if remote.endpoint_id == local.endpoint_id:
-                continue
-            task_id = self._client.submit(
-                local.endpoint_id,
-                remote.endpoint_id,
-                [(path, path) for path in paths.values()],
-            )
-            with self._lock:
-                for key in paths:
-                    self._pending[(key, site_name)] = task_id
+        self._replicate(local, paths)
 
     def get(self, key: str, timeout: float | None = None) -> Payload:
         local = self._local_endpoint()

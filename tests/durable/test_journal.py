@@ -13,7 +13,7 @@ from repro.durable import (
 )
 from repro.net.fs import FileSystem
 from repro.net.kvstore import KVServer
-from repro.serialize import Payload
+from repro.serialize import Payload, borrow
 
 
 @pytest.fixture
@@ -31,6 +31,11 @@ def test_payload_codec_round_trips_data_and_nominal_size():
     import json
 
     assert decode_payload(json.loads(json.dumps(doc))).data == payload.data
+    # The sender's borrow decision survives replay (the carry rule keys on
+    # it); an unborrowed payload's document stays as it always was.
+    assert not back.borrowed and "borrowed" not in doc
+    borrowed_doc = json.loads(json.dumps(encode_payload(borrow(payload))))
+    assert decode_payload(borrowed_doc).borrowed
 
 
 def test_fs_append_accumulates_bytes_and_nominal_size(fs):

@@ -211,3 +211,40 @@ def test_globus_transfer_task_ids_tracked(globus_rig):
         connector.put("k", serialize("x"))
     tasks = connector.transfer_task_ids("k")
     assert testbed.venti.name in tasks
+
+
+def test_globus_sites_sharing_an_endpoint_share_one_transfer(globus_rig, monkeypatch):
+    """A login node and its compute nodes share one file system, hence one
+    transfer endpoint: a put from elsewhere submits ONE transfer toward it,
+    and gets from either site name wait on that same task."""
+    testbed, service, _ = globus_rig
+    ep_theta = service.endpoint("gep-theta")
+    ep_venti = service.endpoint("gep-venti")
+    client = TransferClient(service, "gshared")
+    submits, waits = [], []
+    submit, wait = client.submit, client.wait
+    monkeypatch.setattr(
+        client, "submit", lambda *a, **kw: submits.append(a) or submit(*a, **kw)
+    )
+    monkeypatch.setattr(
+        client, "wait", lambda tid, **kw: waits.append(tid) or wait(tid, **kw)
+    )
+    connector = GlobusConnector(
+        client,
+        {
+            testbed.theta_login.name: ep_theta,
+            testbed.theta_compute.name: ep_theta,
+            testbed.venti.name: ep_venti,
+        },
+    )
+    payload = serialize({"weights": Blob(100_000)})
+    with at_site(testbed.venti):
+        connector.put("k", payload)
+    assert len(submits) == 1
+    tasks = connector.transfer_task_ids("k")
+    assert set(tasks) == {testbed.theta_login.name, testbed.theta_compute.name}
+    [task_id] = set(tasks.values())
+    for site in (testbed.theta_login, testbed.theta_compute):
+        with at_site(site):
+            assert connector.get("k", timeout=120).data == payload.data
+    assert waits == [task_id, task_id]
