@@ -41,7 +41,14 @@ from repro.bench.reporting import ReportTable
 from repro.chaos.campaign import run_cell
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
-from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud, FaasEndpoint
+from repro.faas import (
+    SCOPE_COMPUTE,
+    AuthServer,
+    EndpointDirectory,
+    FaasClient,
+    FaasCloud,
+    FaasEndpoint,
+)
 from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
@@ -110,7 +117,9 @@ def _run_campaign(resilient: bool) -> dict:
         testbed.network,
         auth,
         constants,
-        health=EndpointHealthTracker(HEALTH) if resilient else None,
+        endpoints=EndpointDirectory(
+            constants, health=EndpointHealthTracker(HEALTH) if resilient else None
+        ),
     )
     endpoints = [
         FaasEndpoint(

@@ -583,6 +583,7 @@ def run_cell(
         # healthy task time) makes the breaker trip deterministic — the
         # gray endpoint's first 10 s result scores 0.3 < 0.5 and opens the
         # breaker exactly once (open_duration is effectively forever).
+        from repro.faas import EndpointDirectory
         from repro.resilience import EndpointHealthTracker, HealthPolicy
 
         cloud = FaasCloud(
@@ -590,14 +591,17 @@ def run_cell(
             testbed.network,
             auth,
             constants,
-            health=EndpointHealthTracker(
-                HealthPolicy(
-                    latency_baseline=1.0,
-                    latency_threshold=3.0,
-                    min_samples=1,
-                    open_score=0.5,
-                    open_duration=10_000.0,
-                )
+            endpoints=EndpointDirectory(
+                constants,
+                health=EndpointHealthTracker(
+                    HealthPolicy(
+                        latency_baseline=1.0,
+                        latency_threshold=3.0,
+                        min_samples=1,
+                        open_score=0.5,
+                        open_duration=10_000.0,
+                    )
+                ),
             ),
         )
     elif mode == "poison_task":

@@ -63,8 +63,6 @@ def _snapshot_records(state: dict):
     snapshot + log suffix replay through one loop."""
     for doc in state.get("functions", []):
         yield {"type": "func", **doc}
-    for doc in state.get("endpoints", []):
-        yield {"type": "endpoint", **doc}
     for doc in state.get("tasks", []):
         yield {"type": "task", **doc}
     for doc in state.get("deadletters", []):
@@ -100,17 +98,15 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     """Replay ``journal`` into a freshly constructed ``cloud``.
 
     ``cloud`` must be empty (no tasks) and share the pre-crash instance's
-    delivery fabric: the same bus, completed feed, usage registry, network,
-    and id namespace.  Replay reconstructs registry/queue/store state
-    directly — it never re-enters the journaling API paths, so recovering
-    with the same journal attached does not re-append what it reads.
+    surviving fabric: the same bus, completed feed, usage registry, endpoint
+    directory, network, and id namespace.  Endpoints are not journaled; a
+    record replayed onto an endpoint the directory now reports lapsed moves
+    off it on the rebuilt instance's first sweep.  Replay reconstructs
+    registry/queue/store state directly — it never re-enters the journaling
+    API paths, so recovering with the same journal attached does not
+    re-append what it reads.
     """
-    from repro.faas.cloud import (
-        TaskRecord,
-        TaskStatus,
-        result_topic,
-        task_topic,
-    )
+    from repro.faas.cloud import TaskRecord, TaskStatus, result_topic
 
     journal = journal if journal is not None else cloud.journal
     if journal is None:
@@ -123,8 +119,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     stream = list(_per_task(stream))
 
     next_id = int(snapshot.get("next_id", 0)) if snapshot else 0
-    releases: list[TaskRecord] = []
-    renotify: list[TaskRecord] = []
 
     for record in stream:
         rtype = record["type"]
@@ -133,14 +127,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
             with cloud._lock:
                 cloud._functions[record["func_id"]] = payload
                 cloud._function_tenants[record["func_id"]] = record["tenant"]
-        elif rtype == "endpoint":
-            site = cloud.network.site(record["site"])
-            with cloud._lock:
-                endpoint_id = record["endpoint_id"]
-                cloud._endpoints[endpoint_id] = site
-                cloud._endpoint_online.setdefault(endpoint_id, False)
-                cloud._queues.setdefault(endpoint_id, {})
-                cloud._failover_groups[endpoint_id] = record["failover_group"]
         elif rtype in ("task", "submit"):
             task_id = record["task_id"]
             next_id = max(next_id, cloud.task_id_index(task_id) + 1)
@@ -188,12 +174,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                     if task is None or task.status.terminal:
                         report.deduped += 1
                         continue
-                    queue = cloud._queues.get(task.endpoint_id, {}).get(task.tenant)
-                    if queue is not None:
-                        try:
-                            queue.remove(task_id)
-                        except ValueError:
-                            pass
+                    cloud._unqueue_locked(task)
                     task.status = TaskStatus.DISPATCHED
                     task.fetched_at = record.get("at")
         elif rtype == "result":
@@ -204,12 +185,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                     # a duplicate report or a double-replayed segment.
                     report.deduped += 1
                     continue
-                queue = cloud._queues.get(task.endpoint_id, {}).get(task.tenant)
-                if queue is not None:
-                    try:
-                        queue.remove(record["task_id"])
-                    except ValueError:
-                        pass
+                cloud._unqueue_locked(task)
                 task.result_locator = record["locator"]
                 cloud.store.adopt(
                     record["locator"],
@@ -240,42 +216,28 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
         report.replayed += 1
 
     # Reconcile the rebuilt ledger: re-lease what was in flight at the
-    # crash, re-notify what was terminal (the bus subscription frontier is
-    # broker-side state and survived; these publishes cover fsync-to-notify
-    # crash windows, and clients dedupe).
+    # crash through the shard's one requeue-in-place path, and re-notify
+    # what was terminal (the bus subscription frontier is broker-side state
+    # and survived; these publishes cover fsync-to-notify crash windows,
+    # and clients dedupe).
     with cloud._queue_cond:
         cloud._ids = itertools.count(next_id)
-        for task in cloud._tasks.values():
-            if task.status is TaskStatus.DISPATCHED:
-                task.status = TaskStatus.WAITING
-                task.fetched_at = None
-                task.requeues += 1
-                cloud._tenant_queue_locked(task.endpoint_id, task.tenant).appendleft(
-                    task.task_id
-                )
-                releases.append(task)
-            elif task.status.terminal:
-                renotify.append(task)
-        if releases:
-            cloud._queue_cond.notify_all()
-    renotify.sort(key=lambda t: t.task_id)
+        releases = [
+            task
+            for task in cloud._tasks.values()
+            if task.status is TaskStatus.DISPATCHED
+        ]
+        for endpoint_id in dict.fromkeys(task.endpoint_id for task in releases):
+            cloud._requeue_locked(endpoint_id, cloud._dispatched_locked(endpoint_id))
+        renotify = sorted(
+            (task for task in cloud._tasks.values() if task.status.terminal),
+            key=lambda t: t.task_id,
+        )
     with cloud._completed.cond:
         for task in renotify:
             cloud._completed.push_locked(task.client_id, task.task_id)
-    for task in releases:
-        if cloud.usage is not None:
-            cloud.usage.task_requeued(task.tenant, task.args_nbytes)
-        cloud.bus.publish(
-            task_topic(task.endpoint_id),
-            task.task_id,
-            chaos_key=task.chaos_key or task.task_id,
-        )
     for task in renotify:
-        cloud.bus.publish(
-            result_topic(task.client_id),
-            task.task_id,
-            chaos_key=task.chaos_key or task.task_id,
-        )
+        cloud._doorbell(result_topic(task.client_id), task)
     if cloud._on_enqueue is not None and (releases or renotify):
         cloud._on_enqueue()
 

@@ -9,6 +9,7 @@ from repro.faas.auth import (
 )
 from repro.faas.client import FaasClient, FaasExecutor
 from repro.faas.cloud import FaasCloud, TaskDispatch, TaskRecord, TaskStatus
+from repro.faas.directory import EndpointDirectory
 from repro.faas.endpoint import FaasEndpoint
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "FaasClient",
     "FaasExecutor",
     "FaasCloud",
+    "EndpointDirectory",
     "TaskDispatch",
     "TaskRecord",
     "TaskStatus",

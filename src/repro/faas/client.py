@@ -712,20 +712,13 @@ class FaasClient:
             # Poll fallback (and the only path when the bus is disabled):
             # the completed queue is the ground truth the bus doorbells over.
             # A batching client drains multi-task leases in one call; the
-            # unbatched client drains one id at a time.  Either way the ids
-            # go through the one completion path.
-            fetch_batch = (
-                getattr(self.cloud, "next_completed_batch", None)
-                if self._batcher is not None
-                else None
+            # unbatched client drains one id at a time (``max_n=1``).  Either
+            # way the ids go through the one completion path.
+            task_ids = self.cloud.next_completed_batch(
+                self.client_id,
+                max_n=32 if self._batcher is not None else 1,
+                timeout=self._poll_interval,
             )
-            if fetch_batch is not None:
-                task_ids = fetch_batch(self.client_id, timeout=self._poll_interval)
-            else:
-                task_id = self.cloud.next_completed(
-                    self.client_id, timeout=self._poll_interval
-                )
-                task_ids = [task_id] if task_id is not None else []
             if task_ids:
                 self._handle_completions(task_ids)
                 continue  # keep draining until the queue is confirmed empty

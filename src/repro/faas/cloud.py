@@ -21,10 +21,11 @@ the caller is blocked on the HTTPS response.
 Multi-tenancy (``repro.tenancy``): a :class:`FaasCloud` doubles as the
 **shard engine** behind :class:`repro.tenancy.CloudRouter`.  The hooks that
 make one instance shardable are all constructor keywords with single-node
-defaults — a shared :class:`~repro.bus.NotificationBus`, a shared
-:class:`_CompletedFeed`, a locator prefix on the payload store, a task-id
-namespace, a serialized per-shard admission cost, and a
-:class:`~repro.tenancy.TenantRegistry` that usage events are reported to.
+defaults — a shared :class:`~repro.bus.NotificationBus`,
+:class:`_CompletedFeed` and :class:`~repro.faas.directory.EndpointDirectory`,
+a locator prefix on the payload store, a task-id namespace, a serialized
+per-shard admission cost, and a :class:`~repro.tenancy.TenantRegistry`
+that usage events are reported to.  The engine owns only task state.
 Task queues are per ``(endpoint, tenant)`` and drained weighted-round-robin
 so one hot tenant cannot starve the rest of an endpoint's feed.
 """
@@ -35,7 +36,7 @@ import hashlib
 import itertools
 import threading
 import uuid
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,7 +46,6 @@ from repro.chaos.policy import RetryPolicy
 from repro.durable.journal import encode_payload
 from repro.exceptions import (
     DeadlineExceededError,
-    EndpointUnavailableError,
     LeaseExpiredError,
     PayloadTooLargeError,
     ReproError,
@@ -53,11 +53,11 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
+from repro.faas.directory import EndpointDirectory
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
 from repro.observe import TraceContext, counter_inc, gauge_set
-from repro.resilience.health import BREAKER_OPEN
 from repro.serialize import Payload, serialize
 from repro.tenancy.tenant import (
     DEFAULT_TENANT,
@@ -86,6 +86,30 @@ def task_topic(endpoint_id: str) -> str:
 def result_topic(client_id: str) -> str:
     """Bus topic carrying result notifications for one client."""
     return f"results/{client_id}"
+
+
+def service_bus(constants: PaperConstants, clock: Clock) -> NotificationBus:
+    """The one bus a service builds: task doorbells to endpoints, result
+    notifications to clients (a router shares it across its shards)."""
+    return NotificationBus(
+        clock=clock,
+        redelivery=RetryPolicy(
+            max_attempts=6,
+            base_delay=constants.bus_redelivery_base,
+            max_delay=constants.bus_redelivery_max,
+        ),
+        lease_ttl=constants.bus_lease_ttl,
+        window=constants.bus_redelivery_window,
+    )
+
+
+def authorize_tenant(auth: AuthServer, token: Token, tenant: str) -> None:
+    """A call on behalf of ``tenant`` needs the compute scope plus, off the
+    default tenant, the tenant's own scope."""
+    auth.validate(token, SCOPE_COMPUTE)
+    validate_tenant_name(tenant)
+    if tenant != DEFAULT_TENANT:
+        auth.validate(token, tenant_scope(tenant))
 
 
 def wire_time(
@@ -271,10 +295,6 @@ class _PayloadStore:
             )
         return stored.payload
 
-    def delete(self, locator: str) -> None:
-        with self._lock:
-            self._objects.pop(locator, None)
-
     def adopt(self, locator: str, payload: Payload, *, chaos_exempt: bool = False) -> None:
         """Re-install an object under a locator minted before a crash.
 
@@ -296,7 +316,7 @@ class _CompletedFeed:
     """Per-client completed-task queues (the poll half of result delivery).
 
     Extracted from :class:`FaasCloud` so a router can hand every shard the
-    *same* feed: a client long-polling ``next_completed`` then sees results
+    *same* feed: a client long-polling ``next_completed_batch`` sees results
     from all shards through one wait, exactly as if the cloud were one
     service.  ``cond`` doubles as the terminal-transition lock shards use
     for their exactly-once ``report_results`` dance."""
@@ -320,19 +340,6 @@ class _CompletedFeed:
                     queue.remove(task_id)
                 except ValueError:
                     pass
-
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        deadline = None if timeout is None else self._clock.now() + timeout
-        with self.cond:
-            queue = self._queues.setdefault(client_id, deque())
-            while not queue:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self._clock.now()
-                    if remaining <= 0:
-                        return None
-                self.cond.wait(self._clock.wall_timeout(remaining))
-            return queue.popleft()
 
     def next_completed_batch(
         self, client_id: str, max_n: int, timeout: float | None
@@ -376,7 +383,7 @@ class FaasCloud:
         task_namespace: str = "",
         on_enqueue: object | None = None,
         journal: object | None = None,
-        health: object | None = None,
+        endpoints: EndpointDirectory | None = None,
         poison: object | None = None,
     ) -> None:
         """Single-node cloud by default; the keyword block turns one
@@ -404,13 +411,12 @@ class FaasCloud:
             charged, the fsync — *before* the in-memory mutation becomes
             visible, so a crash-discarded instance can be rebuilt from
             snapshot + log replay (:func:`repro.durable.recover_cloud`).
-        ``health`` / ``poison``
-            A :class:`repro.resilience.EndpointHealthTracker` and a
+        ``endpoints`` / ``poison``
+            A :class:`~repro.faas.directory.EndpointDirectory` (registry,
+            leases, failover groups, breakers) and a
             :class:`repro.resilience.PoisonTracker`; shards behind one
-            router share single instances so health signals and poison
-            strikes accumulate fleet-wide.  ``None`` (the default) disables
-            circuit breaking / quarantine entirely — the seed dispatch path
-            is untouched.
+            router share single instances.  ``None`` builds a private
+            directory without breakers / disables quarantine.
         """
         self.site = site
         self.network = network
@@ -430,25 +436,14 @@ class FaasCloud:
         # available doorbells to endpoints.  The queues below stay the
         # ground truth; the bus only carries acked wakeups, so the poll
         # paths remain correct as a degraded fallback.
-        self.bus = bus if bus is not None else NotificationBus(
-            clock=self.clock,
-            redelivery=RetryPolicy(
-                max_attempts=6,
-                base_delay=self.constants.bus_redelivery_base,
-                max_delay=self.constants.bus_redelivery_max,
-            ),
-            lease_ttl=self.constants.bus_lease_ttl,
-            window=self.constants.bus_redelivery_window,
-        )
+        self.bus = bus if bus is not None else service_bus(self.constants, self.clock)
         self._functions: dict[str, Payload] = {}
         self._function_tenants: dict[str, str] = {}
-        self._endpoints: dict[str, Site] = {}
-        self._endpoint_online: dict[str, bool] = {}
         self._tasks: dict[str, TaskRecord] = {}
         # endpoint id -> tenant -> FIFO of waiting task ids.  Draining is
         # weighted round-robin across the tenant queues (see
         # ``_pop_next_locked``), the per-endpoint fair-dequeue guarantee.
-        self._queues: dict[str, dict[str, deque[str]]] = {}
+        self._queues: defaultdict[str, dict[str, deque[str]]] = defaultdict(dict)
         self._wrr_tenant: dict[str, str] = {}
         self._wrr_credit: dict[str, int] = {}
         self._queue_cond = threading.Condition()
@@ -458,11 +453,10 @@ class FaasCloud:
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._task_namespace = task_namespace
-        # Heartbeat leases: only endpoints that ever heartbeat hold a lease,
-        # so direct-API test rigs without an agent process are never reaped.
-        self._lease_expiry: dict[str, float] = {}
-        self._failover_groups: dict[str, str | None] = {}
-        self.health = health
+        self.endpoints = endpoints if endpoints is not None else EndpointDirectory(
+            self.constants, self.clock
+        )
+        self.health = self.endpoints.health
         self.poison = poison
         self.journal = journal
         if journal is not None:
@@ -484,10 +478,7 @@ class FaasCloud:
         the function id for readability; ``func_id`` lets a router assign
         the id up front (it must, to consistent-hash the registration to
         the owning shard before the id exists anywhere)."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
+        authorize_tenant(self.auth, token, tenant)
         if name is not None:
             validate_function_name(name)
         if self.usage is not None:
@@ -544,8 +535,7 @@ class FaasCloud:
         interchangeable targets, so tasks stranded on one whose lease
         expires are re-dispatched to a surviving member of the group."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
-        self.adopt_endpoint(endpoint_id, site, failover_group=failover_group)
+        endpoint_id = self.endpoints.register(name, site, failover_group=failover_group)
         # Pre-create the bus stream so doorbells published before the agent
         # first connects are retained and replayed on its subscribe.  The
         # chaos label is the (stable) endpoint *name*, not the run-local id.
@@ -554,48 +544,8 @@ class FaasCloud:
         )
         return endpoint_id
 
-    def adopt_endpoint(
-        self,
-        endpoint_id: str,
-        site: Site,
-        *,
-        failover_group: str | None = None,
-    ) -> None:
-        """Create queue/lease structures for an endpoint id assigned
-        elsewhere.  A router adopts each endpoint into *every* shard (any
-        partition may dispatch to any endpoint) while registering the bus
-        subscriber exactly once itself."""
-        if self.journal is not None:
-            self.journal.append(
-                "endpoint",
-                endpoint_id=endpoint_id,
-                site=site.name,
-                failover_group=failover_group,
-            )
-        with self._lock:
-            self._endpoints[endpoint_id] = site
-            self._endpoint_online[endpoint_id] = False
-            self._queues[endpoint_id] = {}
-            self._failover_groups[endpoint_id] = failover_group
-
     def endpoint_site(self, endpoint_id: str) -> Site:
-        with self._lock:
-            try:
-                return self._endpoints[endpoint_id]
-            except KeyError:
-                raise EndpointUnavailableError(
-                    f"unknown endpoint {endpoint_id!r}"
-                ) from None
-
-    def set_endpoint_online(self, endpoint_id: str, online: bool) -> None:
-        with self._queue_cond:
-            self.endpoint_site(endpoint_id)
-            self._endpoint_online[endpoint_id] = online
-            self._queue_cond.notify_all()
-
-    def endpoint_online(self, endpoint_id: str) -> bool:
-        with self._lock:
-            return self._endpoint_online.get(endpoint_id, False)
+        return self.endpoints.site(endpoint_id)
 
     # -- heartbeats and leases ------------------------------------------------
     def heartbeat(self, token: Token, endpoint_id: str) -> float:
@@ -608,148 +558,142 @@ class FaasCloud:
         makes federation survive endpoint loss without client involvement.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
-        self.endpoint_site(endpoint_id)
-        expiry = self.clock.now() + self.constants.endpoint_lease_ttl
-        with self._queue_cond:
-            self._lease_expiry[endpoint_id] = expiry
-            self._endpoint_online[endpoint_id] = True
-            # Liveness checks ride every heartbeat: with bus-driven pickup a
-            # healthy-but-idle endpoint no longer polls, so a peer's
-            # heartbeat (not its long poll) is what reaps a dead member and
-            # triggers failover.  The breaker shed sweep rides along for the
-            # same reason — a bus-idle standby never fetches, so without
-            # this a gray peer's backlog would strand until some poll.
-            self._expire_leases_locked()
-            self._shed_open_breakers_locked()
-        if self.health is not None:
-            # Heartbeat jitter is a gray-failure signal: a degraded agent
-            # beats late long before it stops beating entirely.
-            self.health.record_heartbeat(
-                endpoint_id,
-                self.clock.now(),
-                self.constants.endpoint_heartbeat_period,
-            )
-        counter_inc("faas.heartbeats", endpoint=endpoint_id)
+        expiry = self.endpoints.heartbeat(endpoint_id)
+        self.sweep()
         return expiry
 
     def lease_valid(self, endpoint_id: str) -> bool:
-        with self._queue_cond:
-            expiry = self._lease_expiry.get(endpoint_id)
-            return expiry is not None and expiry > self.clock.now()
+        return self.endpoints.lease_valid(endpoint_id)
 
     def release_lease(self, token: Token, endpoint_id: str) -> None:
         """Graceful shutdown: surrender the lease so the stop is not later
         mistaken for a crash (no failover is triggered)."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        with self._queue_cond:
-            self._lease_expiry.pop(endpoint_id, None)
+        self.endpoints.release_lease(endpoint_id)
 
     def expire_leases(self) -> list[str]:
-        """Reap endpoints whose lease lapsed; returns the reaped ids.
+        """Reap run-out leases in the directory (returns the newly reaped
+        ids) and move this instance's records off every lapsed endpoint.
+        Runs lazily on every submit/fetch/heartbeat, so failover needs no
+        reaper thread; a record that lands on a still-lapsed endpoint later
+        (a late submit, a crash replay) moves on the next sweep."""
+        reaped = self.endpoints.expire_leases()
+        for endpoint_id, ran_out in self.endpoints.lapsed().items():
+            peers = self.endpoints.group_members(endpoint_id)
+            with self._queue_cond:
+                if peers:
+                    self._move_locked(endpoint_id, peers[0], "faas.failovers")
+                    continue
+                # No survivor: work fetched before the lease ran out goes
+                # back on the endpoint's own queue (store-and-forward across
+                # a restart).  What a still-polling agent fetched since is
+                # its own, so each record is requeued once per lapse.
+                stranded = self._dispatched_locked(endpoint_id, before=ran_out)
+                self._requeue_locked(endpoint_id, stranded)
+        return reaped
 
-        Runs lazily on every submit/fetch (any surviving endpoint's long
-        poll triggers it), so failover needs no dedicated reaper thread.
-        """
-        with self._queue_cond:
-            return self._expire_leases_locked()
-
-    def _failover_target_locked(self, endpoint_id: str) -> str | None:
-        """A surviving same-group endpoint with a live lease, if any."""
-        group = self._failover_groups.get(endpoint_id)
-        if group is None:
-            return None
+    def sweep(self) -> None:
+        """Fail work over off lapsed endpoints, then shed it off endpoints
+        whose breaker is open.  Rides every heartbeat and fetch (a bus-idle
+        endpoint never polls, so a peer's heartbeat reaps a dead member).
+        Shedding is failover's gray twin: the degraded endpoint still beats,
+        its work moves to a healthy group member, and its late results
+        arrive as stale-lease reports and are dropped."""
+        self.expire_leases()
         now = self.clock.now()
-        for other_id, other_group in sorted(self._failover_groups.items()):
-            if other_id == endpoint_id or other_group != group:
-                continue
-            expiry = self._lease_expiry.get(other_id)
-            if expiry is not None and expiry > now:
-                return other_id
-        return None
+        for endpoint_id in self.endpoints.open_breakers(now):
+            target = self.endpoints.healthy_peer(endpoint_id, now)
+            if target is not None:
+                with self._queue_cond:
+                    self._move_locked(endpoint_id, target, "resilience.sheds")
 
-    def _group_members_locked(self, endpoint_id: str) -> list[str]:
-        """Same-failover-group peers with live leases, sorted (self excluded)."""
-        group = self._failover_groups.get(endpoint_id)
-        if group is None:
-            return []
-        now = self.clock.now()
+    def _dispatched_locked(
+        self, endpoint_id: str, before: float | None = None
+    ) -> list[TaskRecord]:
+        """Records ``endpoint_id`` fetched (``before`` a time, if given) but
+        has not finished, oldest first."""
         return sorted(
-            other_id
-            for other_id, other_group in self._failover_groups.items()
-            if other_id != endpoint_id
-            and other_group == group
-            and (expiry := self._lease_expiry.get(other_id)) is not None
-            and expiry > now
+            (
+                record
+                for record in self._tasks.values()
+                if record.endpoint_id == endpoint_id
+                and record.status is TaskStatus.DISPATCHED
+                and (before is None or (record.fetched_at or 0.0) <= before)
+            ),
+            key=lambda record: record.submitted_at,
         )
 
-    def _healthy_target_locked(self, endpoint_id: str, now: float) -> str | None:
-        """A live same-group peer whose breaker is not open, if any."""
-        for other_id in self._group_members_locked(endpoint_id):
-            if (
-                self.health is None
-                or self.health.evaluate(other_id, now) != BREAKER_OPEN
-            ):
-                return other_id
-        return None
-
-    def _shed_open_breakers_locked(self) -> None:
-        """Move work away from endpoints whose circuit breaker is open.
-
-        The gray twin of the lease-expiry failover sweep: a degraded
-        endpoint is still heartbeating (its lease never lapses), so any
-        healthy peer's fetch runs this sweep and pulls both the queued
-        backlog and the in-flight (DISPATCHED) stragglers over to a healthy
-        group member.  The gray endpoint's eventual slow results arrive as
-        stale-lease reports and are dropped — exactly the duplicate-report
-        path crash failover already exercises.
-        """
-        if self.health is None:
+    def _move_locked(self, endpoint_id: str, target: str, counter: str) -> None:
+        """Reassign everything ``endpoint_id`` holds here — in-flight records
+        first, then its queued backlog — to ``target``.  A moved record
+        remembers where it came from, so a late report from the old
+        endpoint reads as a stale lease."""
+        stranded = self._dispatched_locked(endpoint_id)
+        queued = self._queued_records_locked(endpoint_id)
+        if not stranded and not queued:
             return
-        now = self.clock.now()
-        for endpoint_id in list(self._queues):
-            if self.health.evaluate(endpoint_id, now) != BREAKER_OPEN:
-                continue
-            target = self._healthy_target_locked(endpoint_id, now)
-            if target is None:
-                continue  # nowhere healthier to go; leave the work in place
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            queued = self._queued_records_locked(endpoint_id)
-            if not stranded and not queued:
-                continue
-            for queue in self._queues[endpoint_id].values():
-                queue.clear()
-            stranded_ids = {record.task_id for record in stranded}
-            for record in stranded + queued:
-                record.status = TaskStatus.WAITING
-                record.fetched_at = None
+        for queue in self._queues[endpoint_id].values():
+            queue.clear()
+        for record in stranded + queued:
+            # Only dispatched work re-enters the queued-bytes quota; still-
+            # queued records never left it.
+            if self.usage is not None and record.status is TaskStatus.DISPATCHED:
+                self.usage.task_requeued(record.tenant, record.args_nbytes)
+            record.status = TaskStatus.WAITING
+            record.fetched_at = None
+            record.requeues += 1
+            if endpoint_id not in record.previous_endpoints:
+                record.previous_endpoints.append(endpoint_id)
+            record.endpoint_id = target
+            self._tenant_queue_locked(target, record.tenant).append(record.task_id)
+            counter_inc(counter, from_endpoint=endpoint_id, to_endpoint=target)
+            self._doorbell(task_topic(target), record)
+        self._publish_depth_locked(endpoint_id)
+        self._publish_depth_locked(target)
+        self._queue_cond.notify_all()
+
+    def _requeue_locked(
+        self, endpoint_id: str, stranded: list[TaskRecord], *, reclaim: bool = False
+    ) -> None:
+        """Put ``stranded`` (``endpoint_id``'s in-flight records, oldest
+        first) back at the front of its own queue, each with a fresh doorbell
+        (the originals were acked by the dead agent).  Counts in
+        ``record.requeues`` and ``faas.requeues``, except when the agent
+        itself ``reclaim``s its work after a restart."""
+        if not stranded:
+            return
+        for record in reversed(stranded):
+            record.status = TaskStatus.WAITING
+            record.fetched_at = None
+            if not reclaim:
                 record.requeues += 1
-                if self.usage is not None and record.task_id in stranded_ids:
-                    self.usage.task_requeued(record.tenant, record.args_nbytes)
-                if endpoint_id not in record.previous_endpoints:
-                    record.previous_endpoints.append(endpoint_id)
-                record.endpoint_id = target
-                self._tenant_queue_locked(target, record.tenant).append(
-                    record.task_id
-                )
-                counter_inc(
-                    "resilience.sheds", from_endpoint=endpoint_id, to_endpoint=target
-                )
-                self.bus.publish(
-                    task_topic(target),
-                    record.task_id,
-                    chaos_key=record.chaos_key or record.task_id,
-                )
-            self._publish_depth_locked(endpoint_id)
-            self._publish_depth_locked(target)
-            self._queue_cond.notify_all()
+                counter_inc("faas.requeues", endpoint=endpoint_id)
+            if self.usage is not None:
+                self.usage.task_requeued(record.tenant, record.args_nbytes)
+            self._tenant_queue_locked(endpoint_id, record.tenant).appendleft(
+                record.task_id
+            )
+        self._publish_depth_locked(endpoint_id)
+        self._queue_cond.notify_all()
+        for record in stranded:
+            self._doorbell(task_topic(endpoint_id), record)
+
+    def _doorbell(self, topic: str, record: TaskRecord) -> None:
+        """Ring one task's doorbell on ``topic``, fault-keyed on the task."""
+        self.bus.publish(
+            topic, record.task_id, chaos_key=record.chaos_key or record.task_id
+        )
+
+    def _unqueue_locked(self, record: TaskRecord) -> bool:
+        """Drop ``record`` from its endpoint's queue; True if it was there."""
+        try:
+            self._queues.get(record.endpoint_id, {})[record.tenant].remove(
+                record.task_id
+            )
+        except (KeyError, ValueError):
+            return False
+        self._publish_depth_locked(record.endpoint_id)
+        return True
 
     # -- per-tenant queue helpers ---------------------------------------------
     def _tenant_queue_locked(self, endpoint_id: str, tenant: str) -> deque[str]:
@@ -831,83 +775,6 @@ class FaasCloud:
                 shard=self._shard_label,
             )
 
-    def _expire_leases_locked(self) -> list[str]:
-        now = self.clock.now()
-        reaped = [
-            endpoint_id
-            for endpoint_id, expiry in self._lease_expiry.items()
-            if expiry <= now
-        ]
-        for endpoint_id in reaped:
-            del self._lease_expiry[endpoint_id]
-            self._endpoint_online[endpoint_id] = False
-            counter_inc("faas.lease_expiries", endpoint=endpoint_id)
-            target = self._failover_target_locked(endpoint_id)
-            # Everything the dead endpoint held: fetched-but-unfinished
-            # tasks first (oldest first), then its still-queued backlog.
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            queued = self._queued_records_locked(endpoint_id)
-            if target is None:
-                # No survivor: put fetched work back on the dead endpoint's
-                # own queue (store-and-forward across a restart, as before).
-                for record in reversed(stranded):
-                    record.status = TaskStatus.WAITING
-                    record.fetched_at = None
-                    record.requeues += 1
-                    if self.usage is not None:
-                        self.usage.task_requeued(record.tenant, record.args_nbytes)
-                    self._tenant_queue_locked(endpoint_id, record.tenant).appendleft(
-                        record.task_id
-                    )
-                    counter_inc("faas.requeues", endpoint=endpoint_id)
-                # Fresh doorbells: the originals were acked by the dead
-                # agent, so a restarted subscriber would otherwise never
-                # learn its queue is non-empty again.
-                for record in stranded:
-                    self.bus.publish(
-                        task_topic(endpoint_id),
-                        record.task_id,
-                        chaos_key=record.chaos_key or record.task_id,
-                    )
-            else:
-                for queue in self._queues[endpoint_id].values():
-                    queue.clear()
-                stranded_ids = {record.task_id for record in stranded}
-                for record in stranded + queued:
-                    record.status = TaskStatus.WAITING
-                    record.fetched_at = None
-                    record.requeues += 1
-                    # Only dispatched work re-enters the queued-bytes quota;
-                    # still-queued records never left it.
-                    if self.usage is not None and record.task_id in stranded_ids:
-                        self.usage.task_requeued(record.tenant, record.args_nbytes)
-                    if endpoint_id not in record.previous_endpoints:
-                        record.previous_endpoints.append(endpoint_id)
-                    record.endpoint_id = target
-                    self._tenant_queue_locked(target, record.tenant).append(
-                        record.task_id
-                    )
-                    counter_inc(
-                        "faas.failovers", from_endpoint=endpoint_id, to_endpoint=target
-                    )
-                    self.bus.publish(
-                        task_topic(target),
-                        record.task_id,
-                        chaos_key=record.chaos_key or record.task_id,
-                    )
-                self._publish_depth_locked(target)
-            if stranded or queued:
-                self._queue_cond.notify_all()
-        return reaped
-
     # -- client side ------------------------------------------------------------
     def _admit_task(
         self,
@@ -957,9 +824,9 @@ class FaasCloud:
             # not voted yet, so a true poison task reaches quorum instead
             # of failing forever on one endpoint.
             if endpoint_id in self.poison.strikes(fingerprint):
-                with self._queue_cond:
-                    candidates = self._group_members_locked(endpoint_id)
-                untried = self.poison.untried_endpoint(fingerprint, candidates)
+                untried = self.poison.untried_endpoint(
+                    fingerprint, self.endpoints.group_members(endpoint_id)
+                )
                 if untried is not None:
                     counter_inc(
                         "resilience.poison_steered",
@@ -967,20 +834,18 @@ class FaasCloud:
                         to_endpoint=untried,
                     )
                     endpoint_id = untried
-        if self.health is not None:
-            # An open breaker turns submits away at admission — cheaper than
-            # enqueueing onto a queue the shed sweep would drain anyway.
-            now = self.clock.now()
-            if self.health.evaluate(endpoint_id, now) == BREAKER_OPEN:
-                with self._queue_cond:
-                    target = self._healthy_target_locked(endpoint_id, now)
-                if target is not None:
-                    counter_inc(
-                        "resilience.steered",
-                        from_endpoint=endpoint_id,
-                        to_endpoint=target,
-                    )
-                    endpoint_id = target
+        # An open breaker turns submits away at admission — cheaper than
+        # enqueueing onto a queue the shed sweep would drain anyway.
+        now = self.clock.now()
+        if self.endpoints.breaker_open(endpoint_id, now):
+            target = self.endpoints.healthy_peer(endpoint_id, now)
+            if target is not None:
+                counter_inc(
+                    "resilience.steered",
+                    from_endpoint=endpoint_id,
+                    to_endpoint=target,
+                )
+                endpoint_id = target
         spec = chaos_check(
             "cloud.submit",
             chaos_key or f"{client_id}|{func_id}",
@@ -1021,10 +886,7 @@ class FaasCloud:
         :class:`ReproError` where it did not, so the client can split
         rejects back into singles.
         """
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
+        authorize_tenant(self.auth, token, tenant)
         self.expire_leases()
         results: list = [None] * len(items)
         admitted: list[tuple[int, TaskSubmission, str, str]] = []
@@ -1155,24 +1017,20 @@ class FaasCloud:
         self._completed.retire(record.client_id, task_id)
         return record.status, self.store.read(record.result_locator)
 
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        """Block until some task of ``client_id`` completes; returns its id.
+    def next_completed_batch(
+        self, client_id: str, max_n: int = 32, timeout: float | None = None
+    ) -> list[str]:
+        """Block until some tasks of ``client_id`` complete; returns up to
+        ``max_n`` ids (``[]`` on timeout).
 
         This is the poll half of the delivery hybrid — the fallback path a
         client uses while its bus subscription is lapsed (the push half is
-        the ``results/<client_id>`` bus topic).  A spurious or competing
+        the ``results/<client_id>`` bus topic).  One wait drains a result
+        storm; a one-id poll is ``max_n=1``.  A spurious or competing
         wakeup does not consume the budget: the wait loops on a deadline
         until a completion arrives or the full timeout elapses.  When the
         feed is shared across shards, one wait covers all of them.
         """
-        return self._completed.next_completed(client_id, timeout)
-
-    def next_completed_batch(
-        self, client_id: str, max_n: int = 32, timeout: float | None = None
-    ) -> list[str]:
-        """Batched form of :meth:`next_completed`: one wait drains up to
-        ``max_n`` completions, so a result storm costs the poller one
-        wakeup instead of one per task."""
         return self._completed.next_completed_batch(client_id, max_n, timeout)
 
     # -- endpoint side -------------------------------------------------------------
@@ -1198,12 +1056,8 @@ class FaasCloud:
         deadline = None if timeout is None else self.clock.now() + timeout
         out: list[TaskDispatch] = []
         expired: list[TaskRecord] = []
+        self.sweep()  # any endpoint's fetch sweeps work off lapsed/gray peers
         with self._queue_cond:
-            self._expire_leases_locked()
-            self._endpoint_online[endpoint_id] = True
-            # Any healthy endpoint's fetch sweeps work away from gray peers
-            # — the breaker analogue of the lazy lease reaper above.
-            self._shed_open_breakers_locked()
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
@@ -1282,16 +1136,14 @@ class FaasCloud:
         the number of doorbells published."""
         with self._queue_cond:
             queued = [
-                (record.endpoint_id, record.task_id, record.chaos_key)
+                record
                 for endpoint_id in self._queues
                 for record in self._queued_records_locked(endpoint_id)
             ]
             if queued:
                 self._queue_cond.notify_all()
-        for endpoint_id, task_id, chaos_key in queued:
-            self.bus.publish(
-                task_topic(endpoint_id), task_id, chaos_key=chaos_key or task_id
-            )
+        for record in queued:
+            self._doorbell(task_topic(record.endpoint_id), record)
         if queued and self._on_enqueue is not None:
             self._on_enqueue()
         return len(queued)
@@ -1308,33 +1160,23 @@ class FaasCloud:
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
         with self._queue_cond:
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            for record in reversed(stranded):
-                record.status = TaskStatus.WAITING
-                record.fetched_at = None
-                self._tenant_queue_locked(endpoint_id, record.tenant).appendleft(
-                    record.task_id
-                )
-                if self.usage is not None:
-                    self.usage.task_requeued(record.tenant, record.args_nbytes)
-            if stranded:
-                self._publish_depth_locked(endpoint_id)
-                self._queue_cond.notify_all()
-        for record in stranded:
-            self.bus.publish(
-                task_topic(endpoint_id),
-                record.task_id,
-                chaos_key=record.chaos_key or record.task_id,
-            )
+            stranded = self._dispatched_locked(endpoint_id)
+            self._requeue_locked(endpoint_id, stranded, reclaim=True)
         return [record.task_id for record in stranded]
+
+    def _result_doc(
+        self, task_id: str, success: bool, locator: str, payload: Payload
+    ) -> dict:
+        """One task's outcome inside a ``result`` WAL record; a failure's
+        bytes embed ids and tracebacks, so it is exempt from fault keys."""
+        return {
+            "task_id": task_id,
+            "success": success,
+            "locator": locator,
+            "payload": encode_payload(payload),
+            "exempt": not success,
+            "at": self.clock.now(),
+        }
 
     def _fail_task_cloudside(self, record: TaskRecord, message: str) -> bool:
         """Terminally fail a task from inside the cloud (deadline expiry,
@@ -1351,16 +1193,7 @@ class FaasCloud:
             self.journal.append(
                 "result",
                 endpoint_id=record.endpoint_id,
-                results=[
-                    {
-                        "task_id": record.task_id,
-                        "success": False,
-                        "locator": locator,
-                        "payload": encode_payload(payload),
-                        "exempt": True,
-                        "at": self.clock.now(),
-                    }
-                ],
+                results=[self._result_doc(record.task_id, False, locator, payload)],
             )
         with self._completed.cond:
             if record.status.terminal:
@@ -1371,11 +1204,7 @@ class FaasCloud:
             self._completed.push_locked(record.client_id, record.task_id)
         if self.usage is not None:
             self.usage.task_finished(record.tenant)
-        self.bus.publish(
-            result_topic(record.client_id),
-            record.task_id,
-            chaos_key=record.chaos_key or record.task_id,
-        )
+        self._doorbell(result_topic(record.client_id), record)
         return True
 
     def cancel_task(self, token: Token, task_id: str) -> bool:
@@ -1392,17 +1221,11 @@ class FaasCloud:
         self.auth.validate(token, SCOPE_COMPUTE)
         with self._queue_cond:
             record = self._tasks.get(task_id)
-            removed = False
-            if record is not None and record.status is TaskStatus.WAITING:
-                queue = self._queues.get(record.endpoint_id, {}).get(record.tenant)
-                if queue is not None:
-                    try:
-                        queue.remove(task_id)
-                        removed = True
-                    except ValueError:
-                        pass
-                if removed:
-                    self._publish_depth_locked(record.endpoint_id)
+            removed = (
+                record is not None
+                and record.status is TaskStatus.WAITING
+                and self._unqueue_locked(record)
+            )
         if not removed:
             return False
         if self.usage is not None:
@@ -1453,16 +1276,7 @@ class FaasCloud:
         # A requeued copy of this task may still sit in a queue (report
         # racing a reclaim): drop it so the work is not executed again.
         with self._queue_cond:
-            queue = self._queues.get(record.endpoint_id, {}).get(record.tenant)
-            removed = False
-            if queue is not None:
-                try:
-                    queue.remove(task_id)
-                    removed = True
-                except ValueError:
-                    pass
-            if removed:
-                self._publish_depth_locked(record.endpoint_id)
+            removed = self._unqueue_locked(record)
         if removed and self.usage is not None:
             # The queued copy's argument bytes no longer wait in a queue.
             self.usage.task_dispatched(record.tenant, record.args_nbytes)
@@ -1551,14 +1365,7 @@ class FaasCloud:
             accepted.append((i, record, success, locator))
             if self.journal is not None:
                 result_docs.append(
-                    {
-                        "task_id": task_id,
-                        "success": success,
-                        "locator": locator,
-                        "payload": encode_payload(result_payload),
-                        "exempt": not success,
-                        "at": self.clock.now(),
-                    }
+                    self._result_doc(task_id, success, locator, result_payload)
                 )
         if not accepted:
             return outcomes
@@ -1647,7 +1454,7 @@ class FaasCloud:
         """A full-state snapshot document for journal compaction.
 
         Everything replay would otherwise reconstruct from the log:
-        registered functions, adopted endpoints, and every task record with
+        registered functions and every task record with
         its argument (and, when terminal, result) payload bytes.  Applied
         by :func:`repro.durable.recover_cloud` before the log suffix.
         """
@@ -1659,14 +1466,6 @@ class FaasCloud:
                     "payload": encode_payload(payload),
                 }
                 for func_id, payload in sorted(self._functions.items())
-            ]
-            endpoints = [
-                {
-                    "endpoint_id": endpoint_id,
-                    "site": site.name,
-                    "failover_group": self._failover_groups.get(endpoint_id),
-                }
-                for endpoint_id, site in sorted(self._endpoints.items())
             ]
         tasks = []
         next_id = 0
@@ -1703,7 +1502,6 @@ class FaasCloud:
             tasks.append(doc)
         return {
             "functions": functions,
-            "endpoints": endpoints,
             "tasks": tasks,
             "next_id": next_id,
             # A shared tracker may hold entries owned by sibling shards;

@@ -189,7 +189,6 @@ class FaasEndpoint:
             self._gray_delay = spec.delay
             counter_inc("endpoint.gray_degraded", endpoint=self.name)
         self.pool.start()
-        self.cloud.set_endpoint_online(self.endpoint_id, True)
         loops = [(self._poll_loop, "poll"), (self._uplink_loop, "uplink")]
         if self._heartbeats:
             # Establish the lease before the first fetch so a crash at any
@@ -244,7 +243,6 @@ class FaasEndpoint:
                 counter_inc("endpoint.wedged_threads", endpoint=self.name)
         if not self._crashed.is_set():
             self.cloud.release_lease(self.token, self.endpoint_id)
-            self.cloud.set_endpoint_online(self.endpoint_id, False)
             if self._consumer is not None:
                 self._consumer.close()
         self._threads.clear()
@@ -270,7 +268,6 @@ class FaasEndpoint:
     def pause(self) -> None:
         """Drop the cloud connection (network outage / restart)."""
         self._paused.set()
-        self.cloud.set_endpoint_online(self.endpoint_id, False)
 
     def resume(self, *, reclaim: bool = False) -> None:
         """Reconnect to the cloud.
@@ -289,7 +286,6 @@ class FaasEndpoint:
         if self._heartbeats:
             self.cloud.heartbeat(self.token, self.endpoint_id)
         self._paused.clear()
-        self.cloud.set_endpoint_online(self.endpoint_id, True)
 
     def utilization(self) -> EndpointUtilization:
         """Snapshot worker/queue state and export it as the canonical

@@ -43,7 +43,7 @@ __all__ = [
 #: How long a client's notifier blocks on one bus ``receive`` before it
 #: re-checks liveness/fallback state (nominal seconds).
 CLIENT_RECEIVE_INTERVAL: float = 0.25
-#: Long-poll interval for the client's ``next_completed`` fallback loop
+#: Long-poll interval for the client's ``next_completed_batch`` fallback loop
 #: (nominal seconds).
 CLIENT_POLL_INTERVAL: float = 0.25
 #: Wall-clock seconds ``FaasClient.close()`` waits for its notifier thread

@@ -37,19 +37,20 @@ import threading
 import uuid
 from typing import TYPE_CHECKING
 
-from repro.bus import NotificationBus
 from repro.chaos.plan import chaos_check
-from repro.chaos.policy import RetryPolicy
 from repro.exceptions import ReproError, ShardUnavailableError, WorkflowError
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
 from repro.faas.cloud import (
+    FaasCloud,
     TaskDispatch,
     TaskRecord,
     TaskStatus,
     TaskSubmission,
     _CompletedFeed,
-    task_topic,
+    authorize_tenant,
+    service_bus,
 )
+from repro.faas.directory import EndpointDirectory
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import ROUTER_FETCH_POLL, PaperConstants
 from repro.net.topology import Network, Site
@@ -62,9 +63,7 @@ from repro.tenancy.tenant import (
     Tenant,
     TenantQuota,
     TenantRegistry,
-    tenant_scope,
     validate_function_name,
-    validate_tenant_name,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,9 +100,6 @@ class _RoutedStore:
     def read(self, locator: str) -> Payload:
         return self._shard_store(locator).read(locator)
 
-    def delete(self, locator: str) -> None:
-        self._shard_store(locator).delete(locator)
-
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         raise WorkflowError(
             "the routed store is read-only; payloads are written by the "
@@ -136,9 +132,9 @@ class CloudRouter:
         ``health_policy`` / ``poison_policy`` (a
         :class:`repro.resilience.HealthPolicy` /
         :class:`repro.resilience.PoisonPolicy`) turn on circuit breaking and
-        poison-task quarantine: the router builds ONE tracker per kind and
-        hands it to every shard, so health signals and poison strikes
-        accumulate fleet-wide no matter which shard observes them."""
+        poison-task quarantine: the router builds ONE endpoint directory and
+        ONE poison tracker and hands them to every shard, so health signals
+        and poison strikes accumulate fleet-wide."""
         if n_shards < 1:
             raise WorkflowError(f"n_shards must be >= 1, got {n_shards}")
         self.site = site
@@ -149,16 +145,7 @@ class CloudRouter:
         self.registry = registry if registry is not None else TenantRegistry(self.clock)
         # One delivery fabric for every shard: a single bus (doorbells,
         # result notifications) and a single completed feed (client polls).
-        self.bus = NotificationBus(
-            clock=self.clock,
-            redelivery=RetryPolicy(
-                max_attempts=6,
-                base_delay=self.constants.bus_redelivery_base,
-                max_delay=self.constants.bus_redelivery_max,
-            ),
-            lease_ttl=self.constants.bus_lease_ttl,
-            window=self.constants.bus_redelivery_window,
-        )
+        self.bus = service_bus(self.constants, self.clock)
         self._completed = _CompletedFeed(self.clock)
         self.store = _RoutedStore(self)
         self._lock = threading.Lock()
@@ -171,16 +158,15 @@ class CloudRouter:
         #: func_id -> (tenant, payload); kept so registrations can follow
         #: their partition when the ring changes (see :meth:`add_shard`).
         self._registrations: dict[str, tuple[str, Payload]] = {}
-        self._endpoints: dict[str, tuple[Site, str | None]] = {}
         #: shard id -> nominal time its outage window ends.
         self._outages: dict[str, float] = {}
         self._journal_factory = journal_factory
+        health = None
         if health_policy is not None:
             from repro.resilience import EndpointHealthTracker
 
-            self.health = EndpointHealthTracker(health_policy)
-        else:
-            self.health = None
+            health = EndpointHealthTracker(health_policy)
+        self.endpoints = EndpointDirectory(self.constants, self.clock, health=health)
         if poison_policy is not None:
             from repro.resilience import PoisonTracker
 
@@ -202,9 +188,9 @@ class CloudRouter:
             bus=self.bus,
             completed=self._completed,
             registry=self.registry,
+            endpoints=self.endpoints,
             on_enqueue=self._notify_enqueue,
             journal=journal,
-            health=self.health,
             poison=self.poison,
         )
 
@@ -224,7 +210,8 @@ class CloudRouter:
 
         Unlike an outage window — where the old instance's state survives
         untouched — nothing of the old object is reused except the journal
-        itself and the shared fabric (bus, completed feed, usage registry).
+        itself and the shared fabric (bus, completed feed, usage registry,
+        endpoint directory).
         Returns the replay's :class:`~repro.durable.RecoveryReport`.
         """
         from repro.durable import recover_cloud
@@ -264,10 +251,6 @@ class CloudRouter:
                 if owner != before[func_id]:
                     self._shards[owner].adopt_function(func_id, tenant, payload)
                     moved += 1
-            for endpoint_id, (site, group) in self._endpoints.items():
-                self._shards[shard_id].adopt_endpoint(
-                    endpoint_id, site, failover_group=group
-                )
         counter_inc("cloud.shards_added", shard=shard_id, moved=moved)
         return shard_id
 
@@ -372,10 +355,7 @@ class CloudRouter:
         """Register a function for ``tenant`` on the shard owning its
         partition.  The id is minted *here* — it must exist before the
         ring can place the registration."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
+        authorize_tenant(self.auth, token, tenant)
         if name is not None:
             validate_function_name(name)
         if func_id is None:
@@ -397,64 +377,33 @@ class CloudRouter:
         return self.shard(shard_id).get_function(token, func_id, tenant)
 
     # -- endpoints ------------------------------------------------------------
-    def register_endpoint(
-        self,
-        token: Token,
-        name: str,
-        site: Site,
-        *,
-        failover_group: str | None = None,
-    ) -> str:
-        """Adopt the endpoint into *every* shard (any partition may
-        dispatch to any endpoint) with one shared bus subscription."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
-        with self._lock:
-            self._endpoints[endpoint_id] = (site, failover_group)
-            shards = list(self._shards.values())
-        for shard in shards:
-            shard.adopt_endpoint(endpoint_id, site, failover_group=failover_group)
-        self.bus.register_subscriber(
-            task_topic(endpoint_id), endpoint_id, chaos_label=name
-        )
-        return endpoint_id
-
-    def _any_shard(self) -> CloudShard:
-        with self._lock:
-            return next(iter(self._shards.values()))
+    # These touch only the directory and the bus every shard shares, so the
+    # router runs the engine's own methods: one registration, one lease.
+    register_endpoint = FaasCloud.register_endpoint
+    endpoint_site = FaasCloud.endpoint_site
+    lease_valid = FaasCloud.lease_valid
+    release_lease = FaasCloud.release_lease
 
     def _all_shards(self) -> list[CloudShard]:
         with self._lock:
             return list(self._shards.values())
 
-    def endpoint_site(self, endpoint_id: str) -> Site:
-        return self._any_shard().endpoint_site(endpoint_id)
-
-    def set_endpoint_online(self, endpoint_id: str, online: bool) -> None:
-        for shard in self._all_shards():
-            shard.set_endpoint_online(endpoint_id, online)
-
-    def endpoint_online(self, endpoint_id: str) -> bool:
-        return self._any_shard().endpoint_online(endpoint_id)
-
     def heartbeat(self, token: Token, endpoint_id: str) -> float:
-        expiry = 0.0
+        """Renew the one lease in the directory, then let every shard sweep
+        its own task state (failover and shedding ride the heartbeat)."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        expiry = self.endpoints.heartbeat(endpoint_id)
         for shard in self._all_shards():
-            expiry = max(expiry, shard.heartbeat(token, endpoint_id))
+            shard.sweep()
         return expiry
 
-    def lease_valid(self, endpoint_id: str) -> bool:
-        return self._any_shard().lease_valid(endpoint_id)
-
-    def release_lease(self, token: Token, endpoint_id: str) -> None:
-        for shard in self._all_shards():
-            shard.release_lease(token, endpoint_id)
-
     def expire_leases(self) -> list[str]:
+        """Each lapse is reaped once, by whichever shard's sweep sees it
+        first; every shard moves its own records off it."""
         reaped: list[str] = []
         for shard in self._all_shards():
             reaped.extend(shard.expire_leases())
-        return sorted(set(reaped))
+        return sorted(reaped)
 
     # -- client side ----------------------------------------------------------
     @staticmethod
@@ -513,10 +462,7 @@ class CloudRouter:
         in-flight headroom.  Returns task ids or per-task errors aligned
         with ``items``, like :meth:`FaasCloud.submit_batch`.
         """
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
+        authorize_tenant(self.auth, token, tenant)
         self._recover_outages()
         results: list = [None] * len(items)
         groups: dict[str, list[int]] = {}
@@ -598,14 +544,11 @@ class CloudRouter:
         # the data plane stays up while the admission tier restarts.
         return self._shard_for_task(task_id).get_result_payload(token, task_id)
 
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        """One wait covers completions from every shard (shared feed)."""
-        return self._completed.next_completed(client_id, timeout)
-
     def next_completed_batch(
         self, client_id: str, max_n: int = 32, timeout: float | None = None
     ) -> list[str]:
-        """Batched drain of the shared completed feed (one wait, many ids)."""
+        """Drain the shared completed feed: one wait covers completions from
+        every shard, up to ``max_n`` ids."""
         return self._completed.next_completed_batch(client_id, max_n, timeout)
 
     # -- endpoint side --------------------------------------------------------

@@ -1,13 +1,15 @@
 """One partition of the sharded control plane.
 
 A :class:`CloudShard` *is* a :class:`repro.faas.cloud.FaasCloud` — the whole
-single-node engine (registry, queues, payload store, leases, exactly-once
+single-node engine (function registry, queues, payload store, exactly-once
 result reporting) — wired into the fabric the router shares across shards:
 
 * the common :class:`~repro.bus.NotificationBus`, so doorbells and result
   notifications from every shard reach the same subscribers;
 * the common ``_CompletedFeed``, so one client long-poll observes
   completions from all shards;
+* the common :class:`~repro.faas.directory.EndpointDirectory` (endpoints,
+  leases, breakers), so the shard owns only task state;
 * the router's :class:`~repro.tenancy.TenantRegistry`, so dispatches and
   terminal transitions inside the shard release the usage the router
   reserved at admission;
@@ -26,6 +28,7 @@ from __future__ import annotations
 from repro.bus import NotificationBus
 from repro.faas.auth import AuthServer
 from repro.faas.cloud import FaasCloud, _CompletedFeed
+from repro.faas.directory import EndpointDirectory
 from repro.net.clock import Clock
 from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
@@ -50,9 +53,9 @@ class CloudShard(FaasCloud):
         bus: NotificationBus,
         completed: _CompletedFeed,
         registry: TenantRegistry,
+        endpoints: EndpointDirectory,
         on_enqueue: object | None = None,
         journal: object | None = None,
-        health: object | None = None,
         poison: object | None = None,
     ) -> None:
         super().__init__(
@@ -70,7 +73,7 @@ class CloudShard(FaasCloud):
             task_namespace=f"{shard_id}-",
             on_enqueue=on_enqueue,
             journal=journal,
-            health=health,
+            endpoints=endpoints,
             poison=poison,
         )
 

@@ -57,6 +57,7 @@ class Rig:
             bus=self.cloud.bus,
             completed=self.cloud._completed,
             journal=self.journal,
+            endpoints=self.cloud.endpoints,
         )
         self.cloud = fresh
         return fresh

@@ -1,8 +1,9 @@
 """Crash recovery: rebuild a journaled FaasCloud from snapshot + replay.
 
-The fresh instance shares the crashed one's delivery fabric (bus, completed
-feed, network) — those outlive the process — while every in-memory ledger
-(tasks, queues, payload store, registries) is rebuilt from the journal.
+The fresh instance shares the crashed one's surviving fabric (bus, completed
+feed, endpoint directory, network) — those outlive the process — while every
+in-memory ledger (tasks, queues, payload store, function registry) is
+rebuilt from the journal.
 Covers the three crash-point edge cases: a crash between the result fsync
 and the bus notification, a crash mid-admission (journaled but never
 queued), and a double-replayed journal segment.
@@ -55,7 +56,8 @@ class Rig:
 
     def crash(self) -> FaasCloud:
         """Discard the in-memory instance; rebuild an empty one sharing the
-        surviving fabric (bus, completed feed) and the durable journal."""
+        surviving fabric (bus, completed feed, endpoint directory) and the
+        durable journal."""
         fresh = FaasCloud(
             self.testbed.faas_cloud,
             self.testbed.network,
@@ -64,6 +66,7 @@ class Rig:
             bus=self.cloud.bus,
             completed=self.cloud._completed,
             journal=self.journal,
+            endpoints=self.cloud.endpoints,
         )
         self.cloud = fresh
         return fresh
@@ -99,7 +102,7 @@ def test_recovery_rebuilds_every_task_state(rig):
         rig.cloud,
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
-    assert rig.cloud.next_completed("client-1", timeout=1.0) == done
+    assert rig.cloud.next_completed_batch("client-1", 1, timeout=1.0) == [done]
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
@@ -168,8 +171,8 @@ def test_crash_between_result_write_and_bus_notification(rig):
     assert report.released == 0  # the terminal record supersedes the lease
     assert fresh.task(task_id).status is TaskStatus.SUCCESS
     # Exactly once into the completed feed: one delivery, then silence.
-    assert fresh.next_completed("client-1", timeout=1.0) == task_id
-    assert fresh.next_completed("client-1", timeout=0.5) is None
+    assert fresh.next_completed_batch("client-1", 1, timeout=1.0) == [task_id]
+    assert fresh.next_completed_batch("client-1", 1, timeout=0.5) == []
     status, payload = fresh.get_result_payload(rig.token, task_id)
     assert status is TaskStatus.SUCCESS
     assert deserialize(payload)["value"] == 25
@@ -209,7 +212,7 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
         fresh,
         rig.token, rig.endpoint_id, task_id, True, serialize({"value": 36})
     )
-    assert fresh.next_completed("client-1", timeout=1.0) == task_id
+    assert fresh.next_completed_batch("client-1", 1, timeout=1.0) == [task_id]
     # New admissions never reuse the replayed id.
     assert FaasCloud.task_id_index(_submit(rig, 7)) > 41
 

@@ -202,13 +202,14 @@ def test_client_close_fails_in_flight_futures(testbed, metrics):
 
 
 def test_next_completed_waits_out_its_full_deadline(testbed):
-    """Satellite: ``next_completed`` loops on a deadline — a timeout with no
-    completion returns ``None`` only after the window genuinely elapses."""
+    """Satellite: the completed-feed poll loops on a deadline — a timeout
+    with no completion returns ``[]`` only after the window genuinely
+    elapses."""
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")
     token = auth.issue_token(identity, {SCOPE_COMPUTE})
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
     clock = get_clock()
     start = clock.now()
-    assert cloud.next_completed("nobody", timeout=0.5) is None
+    assert cloud.next_completed_batch("nobody", 1, timeout=0.5) == []
     assert clock.now() - start >= 0.5

@@ -92,7 +92,7 @@ def test_task_lifecycle(rig):
     report_one(cloud, token, endpoint_id, task_id, True, serialize({"success": True, "value": 4}))
     record = cloud.task(task_id)
     assert record.status is TaskStatus.SUCCESS
-    assert cloud.next_completed("client-1", timeout=1.0) == task_id
+    assert cloud.next_completed_batch("client-1", 1, timeout=1.0) == [task_id]
     status, payload = cloud.get_result_payload(token, task_id)
     assert status is TaskStatus.SUCCESS
     assert deserialize(payload)["value"] == 4
@@ -141,7 +141,7 @@ def test_fetch_respects_max_tasks(rig):
 
 def test_next_completed_timeout(rig):
     cloud, *_ = rig
-    assert cloud.next_completed("nobody", timeout=0.2) is None
+    assert cloud.next_completed_batch("nobody", 1, timeout=0.2) == []
 
 
 def test_payload_store_tiers(rig):
@@ -159,11 +159,3 @@ def test_unknown_locator(rig):
     with pytest.raises(WorkflowError):
         cloud.store.read("s3:ghost")
 
-
-def test_endpoint_online_tracking(rig):
-    cloud, token, endpoint_id = rig
-    assert not cloud.endpoint_online(endpoint_id)
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=0.1)
-    assert cloud.endpoint_online(endpoint_id)
-    cloud.set_endpoint_online(endpoint_id, False)
-    assert not cloud.endpoint_online(endpoint_id)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import LeaseExpiredError
-from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
+from repro.faas import SCOPE_COMPUTE, AuthServer, EndpointDirectory, FaasCloud
 from repro.faas.cloud import TaskStatus
 from repro.net.clock import get_clock
 from repro.net.context import at_site
@@ -49,7 +49,11 @@ def _rig(open_duration=600.0):
         HealthPolicy(open_duration=open_duration, **POLICY)
     )
     cloud = FaasCloud(
-        testbed.faas_cloud, testbed.network, auth, constants, health=health
+        testbed.faas_cloud,
+        testbed.network,
+        auth,
+        constants,
+        endpoints=EndpointDirectory(constants, health=health),
     )
     ep_a = cloud.register_endpoint(token, "a", testbed.theta_login, failover_group="pair")
     ep_b = cloud.register_endpoint(token, "b", testbed.theta_login, failover_group="pair")

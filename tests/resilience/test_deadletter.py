@@ -126,7 +126,7 @@ class DurableRig:
         )
         self.func_id = self.cloud.register_function(self.token, serialize(_add))
 
-    def _build(self, bus=None, completed=None):
+    def _build(self, bus=None, completed=None, endpoints=None):
         return FaasCloud(
             self.testbed.faas_cloud,
             self.testbed.network,
@@ -135,11 +135,16 @@ class DurableRig:
             bus=bus,
             completed=completed,
             journal=self.journal,
+            endpoints=endpoints,
             poison=PoisonTracker(PoisonPolicy(quorum=2)),
         )
 
     def crash(self):
-        fresh = self._build(bus=self.cloud.bus, completed=self.cloud._completed)
+        fresh = self._build(
+            bus=self.cloud.bus,
+            completed=self.cloud._completed,
+            endpoints=self.cloud.endpoints,
+        )
         recover_cloud(fresh)
         self.cloud = fresh
         return fresh

@@ -3,7 +3,7 @@
 * ``RetryPolicy.max_elapsed`` is re-checked *after* the backoff sleep, so a
   long backoff can never launch a retry past the budget it was granted
   under;
-* ``FaasCloud.fetch_tasks`` / ``next_completed`` long-polls are deadline
+* ``FaasCloud.fetch_tasks`` / ``next_completed_batch`` long-polls are deadline
   loops clamped to the remaining budget — spurious condition-variable
   wakeups (other endpoints' enqueues) neither cut the wait short nor
   stretch it past the timeout.
@@ -134,6 +134,6 @@ def test_next_completed_holds_its_deadline_under_spurious_wakeups(noisy_cloud):
     testbed, cloud, token, quiet = noisy_cloud
     clock = get_clock()
     started = clock.now()
-    assert cloud.next_completed("lonely-client", timeout=2.0) is None
+    assert cloud.next_completed_batch("lonely-client", 1, timeout=2.0) == []
     elapsed = clock.now() - started
     assert 2.0 <= elapsed < 3.5
