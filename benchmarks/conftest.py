@@ -13,8 +13,9 @@ import pytest
 
 from repro.apps.environment import clear_software
 from repro.batch.reactor import reset_reactor
-from repro.bench.recording import set_global_log
+from repro.chaos.plan import set_injector
 from repro.net.clock import reset_clock
+from repro.observe import set_metrics, set_tracer
 from repro.proxystore.store import clear_store_registry
 
 BENCH_TIME_SCALE = 0.004
@@ -28,9 +29,13 @@ def bench_state():
     reset_clock(BENCH_TIME_SCALE)
     clear_store_registry()
     clear_software()
-    set_global_log(None)
+    set_tracer(None)
+    set_metrics(None)
+    set_injector(None)
     yield
-    set_global_log(None)
+    set_tracer(None)
+    set_metrics(None)
+    set_injector(None)
     clear_store_registry()
     clear_software()
 

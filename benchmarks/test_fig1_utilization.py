@@ -19,13 +19,9 @@ import pytest
 from common import fmt_s
 from repro.apps.finetuning import FineTuneConfig, run_finetuning_campaign
 from repro.apps.moldesign import MolDesignConfig, run_moldesign_campaign
-from repro.bench.recording import (
-    EventLog,
-    cumulative_series,
-    running_series,
-    set_global_log,
-)
+from repro.bench.plotting import ascii_timeseries, cumulative_series, running_series
 from repro.bench.reporting import ReportTable
+from repro.observe import Tracer, set_tracer
 
 MD_CONFIG = MolDesignConfig(
     n_molecules=1000,
@@ -49,32 +45,24 @@ FT_CONFIG = FineTuneConfig(
 )
 
 
-def _campaign_with_log(run):
-    log = EventLog()
-    set_global_log(log)
+def _traced_campaign(run):
+    """Run one campaign under its own tracer; return its outcome and spans."""
+    tracer = Tracer()
+    set_tracer(tracer)
     try:
         outcome = run()
     finally:
-        set_global_log(None)
-    return outcome, log
+        set_tracer(None)
+    return outcome, tracer.spans()
 
 
-def _gb_to(log: EventLog, resource: str) -> float:
-    series = cumulative_series(
-        log.events("data_transfer", resource=resource), "data_transfer", "bytes"
-    )
+def _gb_to(spans, resource: str) -> float:
+    series = cumulative_series(spans, resource)
     return series[-1][1] / 1e9 if series else 0.0
 
 
-def _max_running(log: EventLog, resource: str) -> int:
-    events = [
-        e
-        for e in log.events()
-        if e.kind in ("worker_task_start", "worker_task_end")
-        and e.get("resource") == resource
-    ]
-    series = running_series(events, "worker_task_start", "worker_task_end")
-    return max((v for _, v in series), default=0)
+def _max_running(spans, resource: str) -> int:
+    return max((v for _, v in running_series(spans, resource)), default=0)
 
 
 @pytest.mark.benchmark(group="fig1")
@@ -82,12 +70,12 @@ def test_fig1_resource_utilization(benchmark, report_sink):
     state = {}
 
     def run():
-        state["md"], state["md_log"] = _campaign_with_log(
+        state["md"], state["md_spans"] = _traced_campaign(
             lambda: run_moldesign_campaign(
                 "parsl", MD_CONFIG, seed=5, join_timeout=400
             )
         )
-        state["ft"], state["ft_log"] = _campaign_with_log(
+        state["ft"], state["ft_spans"] = _traced_campaign(
             lambda: run_finetuning_campaign(
                 "parsl", FT_CONFIG, seed=5, join_timeout=400
             )
@@ -96,14 +84,14 @@ def test_fig1_resource_utilization(benchmark, report_sink):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    md, md_log = state["md"], state["md_log"]
-    ft, ft_log = state["ft"], state["ft_log"]
+    md, md_spans = state["md"], state["md_spans"]
+    ft, ft_spans = state["ft"], state["ft_spans"]
 
     table = ReportTable("Fig. 1 — resource utilization and data movement (Parsl, no pass-by-reference)")
-    md_gpu_gb = _gb_to(md_log, "venti")
-    md_cpu_gb = _gb_to(md_log, "theta-compute")
-    ft_gpu_gb = _gb_to(ft_log, "venti")
-    ft_cpu_gb = _gb_to(ft_log, "theta-compute")
+    md_gpu_gb = _gb_to(md_spans, "venti")
+    md_cpu_gb = _gb_to(md_spans, "theta-compute")
+    ft_gpu_gb = _gb_to(ft_spans, "venti")
+    ft_cpu_gb = _gb_to(ft_spans, "theta-compute")
 
     table.add("moldesign: GB to GPU resource", "O(10) GB per batch", f"{md_gpu_gb:.1f} GB")
     table.add("moldesign: GB to CPU resource", "small", f"{md_cpu_gb:.2f} GB")
@@ -121,9 +109,9 @@ def test_fig1_resource_utilization(benchmark, report_sink):
         holds=md_gpu_gb > 2.0,
     )
 
-    md_cpu_peak = _max_running(md_log, "theta-compute")
-    md_gpu_peak = _max_running(md_log, "venti")
-    ft_cpu_peak = _max_running(ft_log, "theta-compute")
+    md_cpu_peak = _max_running(md_spans, "theta-compute")
+    md_gpu_peak = _max_running(md_spans, "venti")
+    ft_cpu_peak = _max_running(ft_spans, "theta-compute")
     table.add(
         "moldesign: CPU workers saturated",
         "8 running",
@@ -164,26 +152,17 @@ def test_fig1_resource_utilization(benchmark, report_sink):
 
     # Render the actual Fig. 1 panels (ASCII) alongside the claim table.
     from conftest import RESULTS_DIR
-    from repro.bench.plotting import ascii_timeseries
-
-    def concurrency_series(log, resource):
-        events = [
-            e
-            for e in log.events()
-            if e.kind in ("worker_task_start", "worker_task_end")
-            and e.get("resource") == resource
-        ]
-        return [(t, float(v)) for t, v in running_series(
-            events, "worker_task_start", "worker_task_end"
-        )]
 
     panels = []
-    for label, log in (("molecular design", md_log), ("surrogate fine-tuning", ft_log)):
+    for label, spans in (
+        ("molecular design", md_spans),
+        ("surrogate fine-tuning", ft_spans),
+    ):
         for resource, resource_label in (
             ("theta-compute", "CPU tasks running"),
             ("venti", "GPU tasks running"),
         ):
-            series = concurrency_series(log, resource)
+            series = running_series(spans, resource)
             if series:
                 panels.append(
                     ascii_timeseries(
@@ -193,9 +172,7 @@ def test_fig1_resource_utilization(benchmark, report_sink):
                         x_label="nominal seconds",
                     )
                 )
-        gb = cumulative_series(
-            log.events("data_transfer", resource="venti"), "data_transfer", "bytes"
-        )
+        gb = cumulative_series(spans, "venti")
         if gb:
             panels.append(
                 ascii_timeseries(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.queues import ColmenaQueues, TopicSpec
 from repro.core.task_server import (
@@ -41,6 +41,7 @@ from repro.faas import (
 )
 from repro.net.defaults import Testbed
 from repro.net.kvstore import KVServer
+from repro.observe import counter_inc
 from repro.parsl import DataFlowKernel, DirectChannel, HtexExecutor, SSHTunnel
 from repro.proxystore import (
     FileConnector,
@@ -51,7 +52,17 @@ from repro.proxystore import (
 from repro.resources import WorkerPool
 from repro.transfer import TransferClient, TransferEndpoint, TransferService
 
-__all__ = ["WORKFLOW_CONFIGS", "AppMethod", "TopicPolicy", "WorkflowHandle", "build_workflow"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.elastic import SteeringPolicy
+
+__all__ = [
+    "WORKFLOW_CONFIGS",
+    "AppMethod",
+    "TopicPolicy",
+    "WorkflowHandle",
+    "build_workflow",
+    "steer",
+]
 
 WORKFLOW_CONFIGS = ("parsl", "parsl+redis", "funcx+globus")
 
@@ -133,6 +144,25 @@ class WorkflowHandle:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+def steer(
+    steering: "SteeringPolicy | None",
+    weights: tuple[float, float],
+    *,
+    thinker: str,
+    reason: str,
+) -> None:
+    """Re-divide worker capacity between the cpu/gpu pools.  Advisory: a
+    steering failure must never take down a result processor, so it is
+    counted in ``thinker.steering_errors`` and dropped."""
+    if steering is None:
+        return
+    cpu_w, gpu_w = weights
+    try:
+        steering.set_ratio({"cpu": cpu_w, "gpu": gpu_w}, reason=reason)
+    except Exception:  # noqa: BLE001 - capacity hints are best-effort
+        counter_inc("thinker.steering_errors", thinker=thinker, reason=reason)
 
 
 def build_workflow(

@@ -27,8 +27,8 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.apps.common import steer
 from repro.apps.finetuning.config import FineTuneConfig
-from repro.bench.recording import emit
 from repro.core.queues import ColmenaQueues
 from repro.core.result import Result
 from repro.core.thinker import (
@@ -241,8 +241,11 @@ class FineTuneThinker(BaseThinker):
             self.set_event("retrain")
             # The learning threshold is hit: shift workers to the GPU lane
             # while the ensemble retrains (per bragg.py's steering move).
-            self._steer(
-                self.config.steer_train_weights, reason=f"retrain batch {batch}"
+            steer(
+                self.steering,
+                self.config.steer_train_weights,
+                thinker="finetuning",
+                reason=f"retrain batch {batch}",
             )
         if finished:
             self.done.set()
@@ -371,7 +374,12 @@ class FineTuneThinker(BaseThinker):
             self.task_failures.append(result)
             with self._lock:
                 self._retraining = False
-            self._steer(self.config.steer_sim_weights, reason="train failure")
+            steer(
+                self.steering,
+                self.config.steer_sim_weights,
+                thinker="finetuning",
+                reason="train failure",
+            )
             return
         model = result.access_value()
         member = result.task_info["member"]
@@ -391,18 +399,12 @@ class FineTuneThinker(BaseThinker):
                 self._retraining = False
         if batch_done:
             # New models landed: return capacity to the DFT/sampling lane.
-            self._steer(self.config.steer_sim_weights, reason=f"batch {batch} done")
-
-    def _steer(self, weights: tuple[float, float], *, reason: str) -> None:
-        """Re-divide worker capacity between the cpu/gpu pools.  Advisory:
-        a steering failure must never take down a result processor."""
-        if self.steering is None:
-            return
-        cpu_w, gpu_w = weights
-        try:
-            self.steering.set_ratio({"cpu": cpu_w, "gpu": gpu_w}, reason=reason)
-        except Exception as exc:  # noqa: BLE001 - capacity hints are best-effort
-            emit("steering_error", thinker="finetuning", reason=reason, error=repr(exc))
+            steer(
+                self.steering,
+                self.config.steer_sim_weights,
+                thinker="finetuning",
+                reason=f"batch {batch} done",
+            )
 
     # -- checkpoint / resume ---------------------------------------------------
     def export_state(self) -> dict:

@@ -28,8 +28,8 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.apps.common import steer
 from repro.apps.moldesign.config import MolDesignConfig
-from repro.bench.recording import emit
 from repro.core.queues import ColmenaQueues
 from repro.core.result import Result
 from repro.core.thinker import (
@@ -352,17 +352,11 @@ class MolDesignThinker(BaseThinker):
         self._steer(self.config.steer_sim_weights, reason="batch aborted")
 
     def _steer(self, weights: tuple[float, float], *, reason: str) -> None:
-        """Re-divide worker capacity between the cpu/gpu pools.  Advisory:
-        a steering failure must never take down a result processor."""
-        if self.steering is None:
-            return
-        cpu_w, gpu_w = weights
-        if self.checkpoint is not None:
+        """Steer capacity (best-effort), noting each move in the checkpoint."""
+        if self.steering is not None and self.checkpoint is not None:
+            cpu_w, gpu_w = weights
             self.checkpoint.note("steer", cpu=cpu_w, gpu=gpu_w, reason=reason)
-        try:
-            self.steering.set_ratio({"cpu": cpu_w, "gpu": gpu_w}, reason=reason)
-        except Exception as exc:  # noqa: BLE001 - capacity hints are best-effort
-            emit("steering_error", thinker="moldesign", reason=reason, error=repr(exc))
+        steer(self.steering, weights, thinker="moldesign", reason=reason)
 
     # -- checkpoint / resume ---------------------------------------------------
     def export_state(self) -> dict:

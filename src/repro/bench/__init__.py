@@ -1,25 +1,17 @@
-"""Benchmark support: event recording and paper-vs-measured reporting."""
+"""Benchmark support: span-derived figure series and paper-vs-measured
+reporting."""
 
-from repro.bench.recording import (
-    Event,
-    EventLog,
+from repro.bench.plotting import (
+    ascii_bars,
+    ascii_timeseries,
     cumulative_series,
-    emit,
-    get_global_log,
     running_series,
-    set_global_log,
 )
-from repro.bench.plotting import ascii_bars, ascii_timeseries
 from repro.bench.reporting import Comparison, ReportTable, summarize
 
 __all__ = [
-    "Event",
-    "EventLog",
     "cumulative_series",
-    "emit",
-    "get_global_log",
     "running_series",
-    "set_global_log",
     "Comparison",
     "ReportTable",
     "summarize",

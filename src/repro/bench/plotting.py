@@ -1,13 +1,52 @@
 """Terminal-friendly rendering of figure series.
 
-The paper's figures are time-series and bar charts; this module renders
-their reproduced counterparts as ASCII so benchmark results are inspectable
-without any plotting dependency (the repository is NumPy-only).
+The paper's figures are time-series and bar charts; this module derives
+their series from recorded spans and renders the reproduced counterparts
+as ASCII so benchmark results are inspectable without any plotting
+dependency (the repository is NumPy-only).
 """
 
 from __future__ import annotations
 
-__all__ = ["ascii_timeseries", "ascii_bars"]
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from repro.observe import Span
+
+__all__ = ["running_series", "cumulative_series", "ascii_timeseries", "ascii_bars"]
+
+
+def running_series(spans: Iterable[Span], site: str) -> list[tuple[float, int]]:
+    """Tasks running on ``site`` over time, as a (time, concurrency)
+    staircase built from the ``worker.run`` spans opened there."""
+    deltas: list[tuple[float, int]] = []
+    for span in spans:
+        if span.name == "worker.run" and span.site == site:
+            deltas.append((span.start, +1))
+            deltas.append((span.end, -1))
+    deltas.sort()
+    series: list[tuple[float, int]] = []
+    level = 0
+    for t, d in deltas:
+        level += d
+        series.append((t, level))
+    return series
+
+
+def cumulative_series(spans: Iterable[Span], dst: str) -> list[tuple[float, float]]:
+    """Cumulative bytes delivered to site ``dst``: the ``bytes`` tags of the
+    spans tagged ``dst=<dst>``, each counted at its span's end."""
+    points = sorted(
+        (span.end, float(span.tags["bytes"]))
+        for span in spans
+        if span.tags.get("dst") == dst
+    )
+    series: list[tuple[float, float]] = []
+    total = 0.0
+    for t, v in points:
+        total += v
+        series.append((t, total))
+    return series
 
 
 def ascii_timeseries(

@@ -26,7 +26,6 @@ import queue
 import threading
 from typing import Callable
 
-from repro.bench.recording import emit
 from repro.chaos.plan import chaos_check
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import SchedulerError
@@ -282,12 +281,6 @@ class ElasticWorkerPool(WorkerPool):
                 return True
             if not self._retry.retries_left(attempt):
                 counter_inc("autoscale.provision_abandoned", pool=self.name)
-                emit(
-                    "provision_abandoned",
-                    pool=self.name,
-                    worker=idx,
-                    error=repr(err),
-                )
                 return False
             counter_inc("autoscale.provision_retries", pool=self.name)
             self._clock.sleep(self._retry.delay_for(attempt, key=base_key))

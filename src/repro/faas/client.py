@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.batch import BatchAccumulator, BatchPolicy, get_reactor
-from repro.bench.recording import emit
 from repro.bus import BusConsumer
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import (
@@ -923,7 +922,9 @@ class FaasClient:
         leg_paid = False
         for task_id, pending in entries:
             try:
-                with trace_span("result.download", parent=pending.trace_ctx):
+                with trace_span(
+                    "result.download", parent=pending.trace_ctx
+                ) as span:
                     self._clock.sleep(push)
                     push = 0.0
                     status, payload = self.cloud.get_result_payload(
@@ -933,11 +934,8 @@ class FaasClient:
                         wire_time(network, cloud_site, site, payload, leg_paid=leg_paid)
                     )
                     leg_paid = leg_paid or payload.borrowed
-                    emit(
-                        "data_transfer",
-                        resource=site.name,
-                        bytes=payload.nominal_size,
-                        via="faas-cloud",
+                    span.set_tag("bytes", payload.nominal_size).set_tag(
+                        "dst", site.name
                     )
                     self._clock.sleep(deserialize_cost(payload.nominal_size))
                     body = deserialize(payload)

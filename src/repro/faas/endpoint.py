@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.batch.reactor import get_reactor
-from repro.bench.recording import emit
 from repro.bus import BusConsumer
 from repro.chaos.plan import attempt_from_key, chaos_check
 from repro.exceptions import (
@@ -483,17 +482,14 @@ class FaasEndpoint:
         # already paid: only their bytes cost time here.
         with trace_span(
             "endpoint.fetch", parent=dispatch.trace_ctx, endpoint=self.name
-        ):
+        ) as span:
             args_payload = self.cloud.store.read(dispatch.args_locator)
             network, cloud_site = self.cloud.network, self.cloud.site
             self._clock.sleep(
                 wire_time(network, cloud_site, self.site, args_payload, leg_paid=True)
             )
-            emit(
-                "data_transfer",
-                resource=self.site.name,
-                bytes=args_payload.nominal_size,
-                via="faas-cloud",
+            span.set_tag("bytes", args_payload.nominal_size).set_tag(
+                "dst", self.site.name
             )
             fn = self._function(dispatch.func_id, dispatch.tenant)
         self.pool.submit(

@@ -17,7 +17,6 @@ import traceback
 from concurrent.futures import Executor, Future
 from typing import Callable
 
-from repro.bench.recording import emit
 from repro.net.clock import Clock, get_clock
 from repro.net.context import SiteThread
 from repro.net.topology import Network, Site
@@ -148,16 +147,15 @@ class HtexExecutor(Executor):
                 )
             # Interchange -> worker: the whole argument payload rides the
             # channel (tunnels cap throughput and add latency).
-            with trace_span("htex.dispatch", parent=trace_ctx, executor=self.label):
+            with trace_span(
+                "htex.dispatch", parent=trace_ctx, executor=self.label
+            ) as span:
                 self._pay_transfer(
                     self.controller_site, self.pool.site, payload.nominal_size
                 )
-            emit(
-                "data_transfer",
-                resource=self.pool.site.name,
-                bytes=payload.nominal_size,
-                via=f"htex:{self.label}",
-            )
+                span.set_tag("bytes", payload.nominal_size).set_tag(
+                    "dst", self.pool.site.name
+                )
             self.pool.submit(self._make_work(future, payload, fn, trace_ctx))
 
     def _make_work(
@@ -170,7 +168,9 @@ class HtexExecutor(Executor):
         def work() -> None:
             # Span opens on the worker thread, so spans raised inside ``fn``
             # (the ColmenaTask's ``worker.execute``) nest under it.
-            with trace_span("worker.run", parent=trace_ctx, executor=self.label):
+            with trace_span(
+                "worker.run", parent=trace_ctx, executor=self.label
+            ) as span:
                 self._clock.sleep(deserialize_cost(payload.nominal_size))
                 try:
                     args, kwargs = deserialize(payload)
@@ -188,12 +188,9 @@ class HtexExecutor(Executor):
                 self._pay_transfer(
                     self.pool.site, self.controller_site, result_payload.nominal_size
                 )
-            emit(
-                "data_transfer",
-                resource=self.controller_site.name,
-                bytes=result_payload.nominal_size,
-                via=f"htex:{self.label}",
-            )
+                span.set_tag("bytes", result_payload.nominal_size).set_tag(
+                    "dst", self.controller_site.name
+                )
             self._clock.sleep(deserialize_cost(result_payload.nominal_size))
             if body["success"]:
                 future.set_result(body["value"])

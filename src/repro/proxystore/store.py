@@ -30,7 +30,6 @@ import threading
 import uuid
 from collections import deque
 
-from repro.bench.recording import emit
 from repro.chaos.plan import chaos_check
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import RetryExhaustedError, StoreError
@@ -433,8 +432,11 @@ class Store:
             observe("store.get_s", took, store=self.name, site=site)
             return obj
         try:
-            with trace_span("proxy.resolve", store=self.name, cache_hit=False):
+            with trace_span(
+                "proxy.resolve", store=self.name, cache_hit=False
+            ) as span:
                 obj, payload = self._fetch_remote(key, timeout)
+                span.set_tag("bytes", payload.nominal_size).set_tag("dst", site)
             flight.value = obj
             flight.nbytes = payload.nominal_size
             # Publish to the cache *before* retiring the flight: a miss that
@@ -450,12 +452,6 @@ class Store:
         self.metrics.record_get(took, payload.nominal_size, cache_hit=False)
         counter_inc("store.cache_misses", store=self.name, site=site)
         observe("store.get_s", took, store=self.name, site=site)
-        emit(
-            "data_transfer",
-            resource=site,
-            bytes=payload.nominal_size,
-            via=f"store:{self.connector.kind}",
-        )
         return obj
 
     # -- single-flight plumbing ----------------------------------------------
@@ -625,13 +621,16 @@ class Store:
         try:
             with trace_span(
                 "proxy.prefetch", store=self.name, site=site, batch=len(keys)
-            ):
+            ) as span:
                 payloads = self.connector.get_batch(keys, timeout=timeout)
                 objs: dict[str, tuple[object, int]] = {}
                 for key in keys:
                     payload = payloads[key]
                     clock.sleep(deserialize_cost(payload.nominal_size))
                     objs[key] = (deserialize(payload), payload.nominal_size)
+                span.set_tag(
+                    "bytes", sum(nbytes for _, nbytes in objs.values())
+                ).set_tag("dst", site)
         except BaseException as exc:  # noqa: BLE001 - propagate via flights
             for key, flight in leaders:
                 flight.error = exc
@@ -641,7 +640,6 @@ class Store:
                 "store.prefetch_errors", n=len(keys), store=self.name, site=site
             )
             return
-        total = 0
         for key, flight in leaders:
             obj, nbytes = objs[key]
             flight.value = obj
@@ -651,16 +649,9 @@ class Store:
             # of the two, or it would pay a redundant transfer.
             cache.put(key, obj, nbytes, pin=pin)
             self._leave_flight(site, key, flight)
-            total += nbytes
             handle.fetched += 1
             counter_inc("store.prefetched", store=self.name, site=site)
         observe("store.prefetch_s", clock.now() - start, store=self.name, site=site)
-        emit(
-            "data_transfer",
-            resource=site,
-            bytes=total,
-            via=f"store:{self.connector.kind}",
-        )
 
     # -- eviction --------------------------------------------------------------
     def exists(self, key: str) -> bool:

@@ -14,11 +14,10 @@ import queue
 import threading
 from typing import Callable
 
-from repro.bench.recording import emit
 from repro.net.clock import Clock, get_clock
 from repro.net.context import SiteThread
 from repro.net.topology import Site
-from repro.observe import gauge_set, observe
+from repro.observe import counter_inc, gauge_set, observe
 from repro.resources.scheduler import BatchJob, BatchScheduler
 
 __all__ = ["WorkerPool"]
@@ -153,16 +152,10 @@ class WorkerPool:
                 observe("pool.idle_gap_s", start - last_end, pool=self.name)
             self._active += 1
             gauge_set("pool.active", self._active, pool=self.name)
-        emit("worker_task_start", pool=self.name, resource=self.site.name)
         try:
             work()
-        except Exception as exc:  # closure bug: record, keep the lane alive
-            emit(
-                "worker_task_error",
-                pool=self.name,
-                resource=self.site.name,
-                error=repr(exc),
-            )
+        except Exception:  # closure bug: count it, keep the lane alive
+            counter_inc("pool.closure_errors", pool=self.name)
         finally:
             end = self._clock.now()
             with self._lock:
@@ -170,7 +163,6 @@ class WorkerPool:
                 self._last_end[idx] = end
                 self.tasks_completed += 1
                 self.busy_seconds += end - start
-            emit("worker_task_end", pool=self.name, resource=self.site.name)
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

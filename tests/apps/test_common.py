@@ -11,9 +11,11 @@ from repro.apps import (
     register_software,
     unregister_software,
 )
+from repro.apps.common import steer
 from repro.core.task_server import FuncXTaskServer, ParslTaskServer
 from repro.exceptions import WorkflowError
 from repro.net.context import at_site
+from repro.observe import MetricsRegistry, set_metrics
 
 
 def _noop():
@@ -63,6 +65,37 @@ def test_app_method_validates_resource():
 def test_topic_policy_validates_locality():
     with pytest.raises(WorkflowError):
         TopicPolicy(locality="nearby")
+
+
+# -- best-effort steering ----------------------------------------------------------
+
+
+class _Steering:
+    def __init__(self, fail):
+        self.fail = fail
+        self.calls = []
+
+    def set_ratio(self, weights, *, reason):
+        self.calls.append((weights, reason))
+        if self.fail:
+            raise RuntimeError("scheduler unavailable")
+
+
+def test_steer_applies_weights_and_counts_failures():
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    ok = _Steering(fail=False)
+    steer(ok, (0.25, 0.75), thinker="t", reason="retrain")
+    assert ok.calls == [({"cpu": 0.25, "gpu": 0.75}, "retrain")]
+
+    broken = _Steering(fail=True)
+    steer(broken, (1.0, 0.0), thinker="t", reason="batch done")  # must not raise
+    steer(None, (1.0, 0.0), thinker="t", reason="no policy")  # no-op
+    assert metrics.counter_total("thinker.steering_errors") == 1
+    assert (
+        metrics.counter("thinker.steering_errors", thinker="t", reason="batch done").value
+        == 1
+    )
 
 
 # -- build_workflow ---------------------------------------------------------------------

@@ -1,98 +1,39 @@
-"""Tests for the benchmark support modules (event log, report tables)."""
+"""Tests for the benchmark support modules (span series, report tables)."""
 
 import pytest
 
-from repro.bench.recording import (
-    Event,
-    EventLog,
-    cumulative_series,
-    emit,
-    get_global_log,
-    running_series,
-    set_global_log,
-)
-from repro.bench.recording import value_at
+from repro.bench.plotting import cumulative_series, running_series
 from repro.bench.reporting import Comparison, ReportTable, percentile, summarize
-from repro.net.clock import get_clock
+from repro.observe import Span
 
 
-# -- event log -------------------------------------------------------------
+def _span(name, start, end, *, site=None, **tags):
+    return Span(name, trace_id="t", start=start, end=end, site=site, tags=tags)
 
 
-def test_append_and_filter():
-    log = EventLog()
-    log.append("start", resource="a")
-    log.append("start", resource="b")
-    log.append("end", resource="a")
-    assert len(log) == 3
-    assert len(log.events("start")) == 2
-    assert len(log.events("start", resource="a")) == 1
-    assert log.events()[0].kind == "start"
-
-
-def test_events_are_timestamped_in_order():
-    log = EventLog()
-    log.append("a")
-    get_clock().sleep(0.5)
-    log.append("b")
-    events = log.events()
-    assert events[1].t - events[0].t >= 0.5
-
-
-def test_event_access_helpers():
-    event = Event(t=1.0, kind="k", data={"x": 2})
-    assert event["x"] == 2
-    assert event.get("x") == 2
-    assert event.get("missing", 7) == 7
-
-
-def test_clear():
-    log = EventLog()
-    log.append("a")
-    log.clear()
-    assert len(log) == 0
-
-
-def test_global_log_emit():
-    log = EventLog()
-    set_global_log(log)
-    try:
-        emit("thing", value=3)
-        assert get_global_log() is log
-        assert log.events("thing")[0]["value"] == 3
-    finally:
-        set_global_log(None)
-    emit("ignored")  # no log installed: must be a no-op
-    assert len(log.events("ignored")) == 0
+# -- span series -------------------------------------------------------------
 
 
 def test_running_series():
-    events = [
-        Event(1.0, "start"),
-        Event(2.0, "start"),
-        Event(3.0, "end"),
-        Event(4.0, "end"),
+    spans = [
+        _span("worker.run", 1.0, 3.0, site="a"),
+        _span("worker.run", 2.0, 4.0, site="a"),
+        _span("worker.run", 1.5, 2.5, site="b"),  # another site
+        _span("htex.dispatch", 0.5, 5.0, site="a"),  # not a worker span
     ]
-    series = running_series(events, "start", "end")
+    series = running_series(spans, "a")
     assert series == [(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 0)]
 
 
 def test_cumulative_series():
-    events = [
-        Event(1.0, "xfer", {"bytes": 10}),
-        Event(3.0, "xfer", {"bytes": 5}),
-        Event(2.0, "other", {"bytes": 100}),
+    spans = [
+        _span("htex.dispatch", 0.0, 1.0, bytes=10, dst="a"),
+        _span("proxy.resolve", 2.5, 3.0, bytes=5, dst="a"),
+        _span("result.download", 1.0, 2.0, bytes=100, dst="b"),
+        _span("worker.run", 0.0, 2.0, site="a"),  # moved no bytes
     ]
-    series = cumulative_series(events, "xfer", "bytes")
+    series = cumulative_series(spans, "a")
     assert series == [(1.0, 10.0), (3.0, 15.0)]
-
-
-def test_value_at():
-    series = [(1.0, 10.0), (3.0, 15.0)]
-    assert value_at(series, 0.5) == 0.0
-    assert value_at(series, 1.5) == 10.0
-    assert value_at(series, 5.0) == 15.0
-    assert value_at([], 1.0) == 0.0
 
 
 # -- reporting ---------------------------------------------------------------------

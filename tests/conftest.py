@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, settings
 
 from repro.apps.environment import clear_software
 from repro.batch.reactor import reset_reactor
-from repro.bench.recording import set_global_log
 from repro.chaos.plan import set_injector
 from repro.net.clock import reset_clock
 from repro.net.defaults import build_paper_testbed
@@ -36,12 +35,10 @@ def clean_state():
     reset_clock(TEST_TIME_SCALE)
     clear_store_registry()
     clear_software()
-    set_global_log(None)
     set_tracer(None)
     set_metrics(None)
     set_injector(None)
     yield
-    set_global_log(None)
     set_tracer(None)
     set_metrics(None)
     set_injector(None)

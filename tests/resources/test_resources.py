@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import SchedulerError
 from repro.net.clock import get_clock
 from repro.net.topology import FixedLatency, Site
+from repro.observe import MetricsRegistry, set_metrics
 from repro.resources import BatchScheduler, JobState, WorkerPool
 
 
@@ -122,6 +123,8 @@ def test_pool_rejects_submit_when_stopped(site):
 
 
 def test_pool_survives_closure_exceptions(site):
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
     pool = WorkerPool(site, 1, name="p3").start()
     done = threading.Event()
     try:
@@ -130,6 +133,8 @@ def test_pool_survives_closure_exceptions(site):
         assert done.wait(5)  # the lane survived the exception
     finally:
         pool.stop()
+    # The lost closure is counted, not just swallowed.
+    assert metrics.counter("pool.closure_errors", pool="p3").value == 1
 
 
 def test_pool_records_idle_gaps(site):
